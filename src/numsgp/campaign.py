@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import tree
-from .core import Semigroup, _add_gap_member, _remove_generator
+from .core import (Semigroup, _add_gap_member, _bit_positions,
+                   _remove_generator)
 from .errors import BoundTooLarge, UnknownProperty
-from .maxgen import _bits, _canonical_masks, _rg_mask
+from .maxgen import _canonical_masks, _rg_mask
 
 PROPERTIES = (
     "wilf",
@@ -163,7 +164,7 @@ def _eval_node(s: Semigroup, sel: int, checked: list, failures: list) -> None:
         checked[2] += 1
         rgf = _rg_mask(mask, c, f)
         cond_iii = ae == f + m and rgf.bit_count() == m - 2
-        shifted = [L + m for L in _bits(rgf)]
+        shifted = [L + m for L in _bit_positions(rgf)]
         fm = f + m
         apery_minus = sorted(x for x in s.apery_set().entries
                              if x and x != fm)

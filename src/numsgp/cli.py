@@ -28,7 +28,7 @@ SCHEMA_VERSION = "1"
 
 
 class ParseFailure(Exception):
-    """Bad positional input; maps to exit code 2."""
+    """Bad command-line input; maps to exit code 2."""
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -405,9 +405,19 @@ def _print_verify_csv(report: campaign.CampaignReport) -> None:
 def cmd_verify(max_genus: int, properties, jobs: int,
                out_path: str | None, fmt: str) -> int:
     props = campaign.resolve_properties(properties)
-    report = campaign.run_campaign(max_genus, props, jobs)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if not out_path:
+        report = campaign.run_campaign(max_genus, props, jobs)
+    else:
+        # opened before the run so that a bad path fails at once; append
+        # mode leaves an existing file as it was if the run does not finish
+        try:
+            fh = open(out_path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise ParseFailure("cannot write %s: %s"
+                               % (out_path, exc.strerror)) from None
+        with fh:
+            report = campaign.run_campaign(max_genus, props, jobs)
+            fh.truncate(0)
             fh.write(report.to_json())
             fh.write("\n")
     if fmt == "jsonl":

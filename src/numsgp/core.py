@@ -5,6 +5,15 @@ closed under addition, with finite complement.  We store membership below the
 conductor c = F + 1 as a bitmask (bit n set iff n in S); everything from c on
 is in S by definition, so the mask plus the conductor determine S exactly.
 
+from_generators() is Apery-first: it computes the Apery set with respect to
+the smallest generator a_1 by round-robin shortest paths in O(e * a_1) steps
+(Boecker & Liptak, Algorithmica 2007), reads F = max Ap - a_1 and
+g = sum of floor(w / a_1) off it, checks the conductor cap, and only then
+builds the mask from the Apery entries by doubling shifts.  The invariant
+scans (gaps, sporadic elements, Apery set, pseudo-Frobenius numbers) work on
+whole masks and extract bit positions in one linear pass, so a query costs
+O(e * a_1 + c).
+
 Invariants follow the usual notation: gaps(S) is the complement, g = #gaps
 the genus, F the largest gap (Frobenius number), m the least positive element
 (multiplicity), e the embedding dimension.  The trivial semigroup of all
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -29,9 +39,42 @@ DEFAULT_CONDUCTOR_CAP = 2**31
 
 
 def conductor_cap() -> int:
-    """Active conductor bound; NUMSGP_MAX_CONDUCTOR overrides the default."""
+    """Active conductor bound; NUMSGP_MAX_CONDUCTOR overrides the default.
+
+    Raises ValueError, naming the variable, unless its value is a positive
+    integer.
+    """
     raw = os.environ.get("NUMSGP_MAX_CONDUCTOR", "").strip()
-    return int(raw) if raw else DEFAULT_CONDUCTOR_CAP
+    if not raw:
+        return DEFAULT_CONDUCTOR_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("NUMSGP_MAX_CONDUCTOR must be a positive integer, "
+                         "got %r" % raw)
+    return cap
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_positions(v: int) -> list[int]:
+    """Positions of the set bits of v >= 0, ascending, in O(v.bit_length()).
+
+    A v & -v loop copies v once per set bit, which is quadratic for a dense
+    mask; it serves only the sparse ones.  Dense masks go through bin(v).
+    """
+    if v.bit_count() > 8:
+        digits = bin(v)[:1:-1].encode().translate(_BINARY_DIGITS)
+        return list(compress(range(len(digits)), digits))
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,49 +176,44 @@ class Semigroup:
     def gaps(self) -> tuple[int, ...]:
         """The complement, ascending.  Empty for the trivial semigroup."""
         if self._gaps is None:
-            mask = self.members_mask
-            self._gaps = tuple(n for n in range(1, self.conductor)
-                               if not (mask >> n) & 1)
+            self._gaps = tuple(_bit_positions(
+                ((1 << self.conductor) - 1) ^ self.members_mask))
         return self._gaps
 
     def sporadic_elements(self) -> tuple[int, ...]:
         """Elements of S strictly between 0 and F, ascending.
 
-        Their count sigma satisfies F + 1 = sigma + g + (number of gaps
-        counted once each), i.e. sigma = F + 1 - g - 1 + ... concretely
-        sigma = F - g when F >= 0, since [1, F] splits into gaps and
-        sporadic elements.
+        [1, F] splits into gaps and sporadic elements, so there are F - g
+        of them when F >= 0.
         """
-        mask = self.members_mask
-        return tuple(n for n in range(1, self.frobenius)
-                     if (mask >> n) & 1)
+        if self.frobenius < 1:
+            return ()
+        return tuple(_bit_positions(
+            self.members_mask & ((1 << self.frobenius) - 2)))
 
     def apery_set(self) -> AperyTable:
-        """Least element of S in each residue class mod m."""
+        """Least element of S in each residue class mod m.
+
+        These are the members n with n - m not in S; all of them lie below
+        c + m.
+        """
         if self._apery is None:
             m = self.multiplicity
-            if m == 1:
-                self._apery = AperyTable(1, (0,))
-            else:
-                mask = self.members_mask
-                c = self.conductor
-                entries = [0] * m
-                remaining = m - 1
-                n = m + 1
-                while remaining:
-                    if n >= c or (mask >> n) & 1:
-                        r = n % m
-                        if r and entries[r] == 0:
-                            entries[r] = n
-                            remaining -= 1
-                    n += 1
-                self._apery = AperyTable(m, tuple(entries))
+            c = self.conductor
+            ext = self.members_mask | (((1 << (c + m)) - 1)
+                                       ^ ((1 << c) - 1))
+            entries = [0] * m
+            for n in _bit_positions(ext & ~(ext << m)):
+                entries[n % m] = n
+            self._apery = AperyTable(m, tuple(entries))
         return self._apery
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps p with p + s in S for every positive s in S, ascending.
 
-        It suffices to test s over the minimal generators.
+        It suffices to test s over the minimal generators, all at once: the
+        gap mask AND the member mask (extended past c) shifted down by a,
+        for each minimal generator a.
         """
         if self.is_trivial:
             raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
@@ -183,15 +221,11 @@ class Semigroup:
             gens = self.min_generators
             c = self.conductor
             mask = self.members_mask
-            out = []
-            for p in self.gaps():
-                for a in gens:
-                    t = p + a
-                    if t < c and not (mask >> t) & 1:
-                        break
-                else:
-                    out.append(p)
-            self._pf = tuple(out)
+            ext = mask | (((1 << (c + gens[-1])) - 1) ^ ((1 << c) - 1))
+            pf = ((1 << c) - 1) ^ mask
+            for a in gens:
+                pf &= ext >> a
+            self._pf = tuple(_bit_positions(pf))
         return self._pf
 
     def type_number(self) -> int:
@@ -262,94 +296,105 @@ def _from_mask(mask: int, known_bound: int) -> Semigroup:
     return Semigroup(gens, conductor, mask, genus, frobenius, mult)
 
 
-def _sieve(gens: Iterable[int], bound: int) -> int:
-    """Membership mask of <gens> on [0, bound) by repeated shifted unions."""
-    limit = (1 << bound) - 1
-    mask = 1
-    while True:
-        new = mask
-        for a in gens:
-            new |= (new << a) & limit
-        if new == mask:
-            return mask
-        mask = new
+def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Apery set of <gens> with respect to gens[0], and the minimal generators.
 
-
-def _certified_conductor(mask: int, bound: int, mult: int) -> int | None:
-    """Smallest c with [c, c + mult) all members, or None if no run fits.
-
-    A run of mult consecutive members proves everything beyond its start is a
-    member (add multiples of mult), so c bounds the conductor from above; c is
-    in fact the conductor exactly when the mask is the true membership table
-    up to bound, which the sieve guarantees.
+    gens is ascending with gcd 1.  Round-robin shortest paths (Boecker &
+    Liptak, Algorithmica 2007): entry r is the least element of the semigroup
+    so far in class r mod a_1, and adding a generator b relaxes each cycle
+    r -> r + b of the residues once, starting from the cycle's least entry.
+    A generator is minimal iff it is not in the semigroup of the smaller
+    ones, i.e. iff it lies below its class entry when its turn comes; the
+    others change nothing and are skipped.
     """
-    if mult == 1:
-        runs = mask
-    else:
-        runs = mask
-        for i in range(1, mult):
-            runs &= mask >> i
-            if not runs:
-                return None
-    runs &= (1 << max(bound - mult + 1, 0)) - 1
-    if runs == 0:
-        return None
-    return (runs & -runs).bit_length() - 1
+    a1 = gens[0]
+    # every entry is a sum of fewer than a1 generators, so below a1 * a_e
+    inf = a1 * gens[-1]
+    w = [inf] * a1
+    w[0] = 0
+    min_gens = [a1]
+    for b in gens[1:]:
+        r = b % a1
+        if b >= w[r]:
+            continue
+        min_gens.append(b)
+        d = gcd(a1, r)
+        for p in range(d):
+            # the cycle through 0 starts at w[0] = 0, its least entry
+            q = min(range(p, a1, d), key=w.__getitem__) if p else 0
+            n = w[q]
+            if n == inf:
+                continue
+            for _ in range(a1 // d - 1):
+                n += b
+                q += r
+                if q >= a1:
+                    q -= a1
+                x = w[q]
+                if x < n:
+                    n = x
+                else:
+                    w[q] = n
+    return w, tuple(min_gens)
+
+
+def _mask_from_apery(apery: list[int], a1: int, conductor: int) -> int:
+    """Membership mask below the conductor: n in S iff n >= apery[n % a1].
+
+    Sets the Apery bits, then doubles the run of multiples of a_1 above each
+    one: after shifts by a1, 2 a1, 4 a1, ... every w + k a1 < c is present.
+    """
+    bits = bytearray((conductor >> 3) + 1)
+    for w in apery:
+        if w < conductor:
+            bits[w >> 3] |= 1 << (w & 7)
+    mask = int.from_bytes(bits, "little")
+    limit = (1 << conductor) - 1
+    step = a1
+    while step < conductor:
+        mask |= (mask << step) & limit
+        step <<= 1
+    return mask
 
 
 def from_generators(values: Iterable[int]) -> Semigroup:
     """Numerical semigroup generated by the given positive integers.
 
     Raises EmptyInput for an empty list, NonCoprime when the gcd exceeds 1,
-    ValueError for nonpositive entries, and ConductorCapExceeded when the
-    conductor would reach conductor_cap().  The result's min_generators is
-    the unique minimal generating set, which may be smaller than the input.
+    ValueError for nonpositive entries or an invalid NUMSGP_MAX_CONDUCTOR,
+    and ConductorCapExceeded when the conductor would reach conductor_cap();
+    the cap is checked before the mask is built, so it bounds time as well
+    as memory.  The result's min_generators is the unique minimal generating
+    set, which may be smaller than the input.
     """
     gens = sorted(set(values))
     if not gens:
         raise EmptyInput("need at least one generator")
     if gens[0] < 1:
         raise ValueError("generators must be positive integers")
-    if gens[0] == 1:
-        return _naturals()
     d = 0
     for a in gens:
         d = gcd(d, a)
     if d != 1:
         raise NonCoprime("gcd of generators is %d" % d)
-
     cap = conductor_cap()
     a1 = gens[0]
-    # Conductor upper bound from the best coprime pair, when one exists:
-    # c(<a, b>) = (a - 1)(b - 1) and adding generators only shrinks c.
-    pair_bound = None
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if gcd(a, b) == 1:
-                v = (a - 1) * (b - 1)
-                if pair_bound is None or v < pair_bound:
-                    pair_bound = v
-    bound = max(gens[-1], a1 * gens[1]) + 1
-    if pair_bound is not None:
-        if pair_bound >= cap:
-            # only safe to reject outright when the pair bound is exact
-            if len(gens) == 2:
-                raise ConductorCapExceeded(
-                    "conductor %d reaches the cap %d" % (pair_bound, cap))
-        bound = min(bound, pair_bound + a1 + 1)
-    while True:
-        mask = _sieve(gens, bound)
-        c = _certified_conductor(mask, bound, a1)
-        if c is not None:
-            break
-        if bound - a1 >= cap:
-            raise ConductorCapExceeded(
-                "no conductor below the cap %d" % cap)
-        bound = min(bound * 2, cap + a1)
-    if c >= cap:
+    if a1 == 1:
+        return _naturals()
+    if a1 >= cap:
+        # 1, ..., a1 - 1 are gaps, so the conductor is at least a1
         raise ConductorCapExceeded(
-            "conductor %d reaches the cap %d" % (c, cap))
-    return _from_mask(mask, bound)
+            "conductor at least %d reaches the cap %d" % (a1, cap))
+    apery, min_gens = _apery_round_robin(gens)
+    conductor = max(apery) - a1 + 1
+    if conductor >= cap:
+        raise ConductorCapExceeded(
+            "conductor %d reaches the cap %d" % (conductor, cap))
+    genus = sum(w // a1 for w in apery)
+    s = Semigroup(min_gens, conductor, _mask_from_apery(apery, a1, conductor),
+                  genus, conductor - 1, a1)
+    s._apery = AperyTable(a1, tuple(apery))
+    return s
 
 
 def _remove_generator(s: Semigroup, a: int) -> Semigroup:

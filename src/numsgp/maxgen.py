@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .core import Semigroup, from_generators
+from .core import Semigroup, _bit_positions, from_generators
 from .errors import (
     BadParameters,
     EmbeddingDimTooSmall,
@@ -180,20 +180,11 @@ def _rg_mask(mask: int, conductor: int, n: int) -> int:
     return out
 
 
-def _bits(v: int) -> list[int]:
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
-
-
 def reflected_gaps(n: int, s: Semigroup) -> tuple[int, ...]:
     """RG(n, S) = {L in [1, n-1] : L not in S and n - L not in S}, sorted."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return tuple(_bits(_rg_mask(s.members_mask, s.conductor, n)))
+    return tuple(_bit_positions(_rg_mask(s.members_mask, s.conductor, n)))
 
 
 def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
@@ -213,13 +204,13 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
     apery = s.apery_set().entries
     fm = f + m
     apery_minus = tuple(sorted(x for x in apery if x != 0 and x != fm))
-    shifted = tuple(L + m for L in _bits(rgf))
+    shifted = tuple(L + m for L in _bit_positions(rgf))
     return ReflectedGapReport(
         cond_i=ae == 2 * s.genus + 1,
         cond_ii=shifted == apery_minus,
         cond_iii=ae == fm and rgf.bit_count() == m - 2,
-        rg_f=tuple(_bits(rgf)),
-        rg_f_plus_m=tuple(_bits(rgfm)),
+        rg_f=tuple(_bit_positions(rgf)),
+        rg_f_plus_m=tuple(_bit_positions(rgfm)),
         apery_minus=apery_minus,
     )
 
@@ -261,7 +252,7 @@ def canonical_ideal(s: Semigroup) -> ShiftIdeal:
     k, offs = _canonical_masks(s)
     f = s.frobenius
     table = tuple(bool((k >> z) & 1) for z in range(f + 1)) + (True,)
-    return ShiftIdeal(base=s, offsets=tuple(_bits(offs)),
+    return ShiftIdeal(base=s, offsets=tuple(_bit_positions(offs)),
                       members_below_bound=table)
 
 

@@ -247,3 +247,37 @@ def test_conductor_cap_env(capsys, monkeypatch):
     assert "ConductorCapExceeded" in err
     monkeypatch.delenv("NUMSGP_MAX_CONDUCTOR")
     assert run(capsys, "info", "23,29")[0] == 0
+
+
+def test_verify_out_unwritable(tmp_path, capsys):
+    # the path is checked before the campaign runs: usage error, one line
+    bad = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--max-genus", "5",
+                         "--out", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert run(capsys, "verify", "--max-genus", "5",
+               "--out", str(tmp_path))[0] == 2
+
+
+def test_verify_out_kept_on_failed_run(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    assert run(capsys, "verify", "--max-genus", "99",
+               "--out", str(path))[0] == 2
+    assert path.read_text() == "earlier report\n"
+    assert run(capsys, "verify", "--max-genus", "3",
+               "--out", str(path))[0] == 0
+    assert json.loads(path.read_text())["max_genus"] == 3
+
+
+def test_conductor_cap_env_invalid(capsys, monkeypatch):
+    for raw in ("abc", "0", "-7"):
+        monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", raw)
+        code, out, err = run(capsys, "info", "3,5,7")
+        assert code == 2
+        assert out == ""
+        assert "NUMSGP_MAX_CONDUCTOR" in err
+        assert err.count("\n") == 1

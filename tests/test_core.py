@@ -5,9 +5,11 @@ differential tests re-run the oracle live on small instances.
 """
 
 import pickle
+import time
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
@@ -122,6 +124,11 @@ def test_duplicates_and_order_normalized():
 def test_redundant_generators_dropped():
     assert from_generators([3, 5, 8]).min_generators == (3, 5)
     assert from_generators([4, 6, 7, 9, 10, 11, 13]).min_generators == (4, 6, 7, 9)
+    for gens, mingens in (([3, 4, 7], (3, 4)), ([3, 4, 8], (3, 4)),
+                          ([2, 4, 6, 9], (2, 9)), ([5, 10, 7, 14], (5, 7))):
+        s = from_generators(gens)
+        assert s.min_generators == mingens
+        assert s.members_mask == from_generators(mingens).members_mask
 
 
 def test_equality_and_hash():
@@ -219,7 +226,6 @@ def generator_lists(draw):
     n = draw(st.integers(1, 5))
     gens = draw(st.lists(st.integers(2, 40), min_size=n, max_size=n))
     # force coprimality by appending a coprime partner when needed
-    from math import gcd
     d = 0
     for a in gens:
         d = gcd(d, a)
@@ -264,3 +270,128 @@ def test_membership_matches_naive_closure(gens):
     members = oracle.closure_set(gens, bound)
     for n in range(bound + 1):
         assert (n in s) == (n in members)
+
+
+def test_conductor_cap_invalid_values(monkeypatch):
+    for raw in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", raw)
+        with pytest.raises(ValueError, match="NUMSGP_MAX_CONDUCTOR"):
+            conductor_cap()
+        with pytest.raises(ValueError, match="NUMSGP_MAX_CONDUCTOR"):
+            from_generators([3, 5, 7])
+    monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", " 12 ")
+    assert conductor_cap() == 12
+    monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", "")
+    assert conductor_cap() == 2**31
+
+
+def test_conductor_cap_before_construction(monkeypatch):
+    # the conductor is at least a_1, so a_1 at the cap is rejected outright
+    monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", "503")
+    with pytest.raises(ConductorCapExceeded):
+        from_generators([503, 509])
+    assert from_generators([2, 3]).frobenius == 1
+    # F of <100003, 100019> is about 10^10: rejected from the Apery set
+    # alone, without building a mask of that many bits
+    monkeypatch.delenv("NUMSGP_MAX_CONDUCTOR")
+    start = time.perf_counter()
+    with pytest.raises(ConductorCapExceeded):
+        from_generators([100003, 100019])
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("gens,frobenius,genus", [
+    ([1009, 1013, 1017], 511559, 256032),
+    ([2003, 2011, 2017], 582891, 292590),
+])
+def test_construction_time_bound(gens, frobenius, genus):
+    # construction is O(e * a_1 + c), a few ms on these inputs; one
+    # quadratic in the conductor takes seconds
+    start = time.perf_counter()
+    s = from_generators(gens)
+    elapsed = time.perf_counter() - start
+    assert s.frobenius == frobenius
+    assert s.genus == genus
+    assert s.min_generators == tuple(gens)
+    assert elapsed < 0.5
+
+
+def _oracle_bound_ok(gens):
+    # the oracle closes up to the product of the generators when no two of
+    # them are coprime
+    return oracle.safe_bound(gens) <= 20000
+
+
+@st.composite
+def construction_inputs(draw):
+    """Small generator lists of the shapes the construction treats apart."""
+    kind = draw(st.sampled_from(
+        ["any", "no_coprime_pair", "redundant", "a1_is_2"]))
+    if kind == "no_coprime_pair":
+        # pairwise products of pairwise coprime p, q, r
+        p, q, r = draw(st.sampled_from(
+            [(2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (3, 5, 7),
+             (2, 5, 9), (4, 5, 7)]))
+        gens = [p * q, p * r, q * r]
+    elif kind == "a1_is_2":
+        gens = [2, 2 * draw(st.integers(1, 60)) + 1]
+        gens += draw(st.lists(st.integers(3, 130), max_size=3))
+    else:
+        n = draw(st.integers(1, 5))
+        gens = draw(st.lists(st.integers(2, 30), min_size=n, max_size=n))
+        d = 0
+        for a in gens:
+            d = gcd(d, a)
+        if d != 1:
+            gens.append(d + 1)
+    if kind == "redundant" or (kind != "no_coprime_pair"
+                               and draw(st.booleans())):
+        # sums and multiples of generators add nothing to the semigroup
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens = gens + [a + b, draw(st.integers(2, 4)) * a]
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(construction_inputs())
+def test_construction_against_oracle(gens):
+    assume(_oracle_bound_ok(gens))
+    s = from_generators(gens)
+    inv = oracle.invariants(gens)
+    f = inv["frobenius"]
+    assert list(s.min_generators) == inv["min_generators"]
+    assert s.frobenius == f
+    assert s.conductor == f + 1
+    assert s.genus == inv["genus"]
+    assert s.multiplicity == inv["multiplicity"]
+    assert s.members_mask == sum(1 << n for n in inv["members"] if n <= f)
+    assert list(s.gaps()) == inv["gaps"]
+    assert list(s.sporadic_elements()) == inv["sporadic"]
+    assert list(s.apery_set().entries) == inv["apery"]
+    if not s.is_trivial:
+        assert list(s.pseudo_frobenius()) == inv["pf"]
+        assert s.type_number() == inv["type"]
+    # the cached Apery set from the construction agrees with a fresh scan
+    fresh = Semigroup(*s.__getstate__())
+    assert fresh.apery_set() == s.apery_set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 200))
+def test_sylvester_two_generators(a, k):
+    b = a + k
+    while gcd(a, b) != 1:
+        b += 1
+    s = from_generators([a, b])
+    f = a * b - a - b
+    assert s.min_generators == (a, b)
+    assert s.frobenius == f
+    assert s.genus == (a - 1) * (b - 1) // 2
+    assert s.is_symmetric()
+    assert s.pseudo_frobenius() == (f,)
+    assert len(s.gaps()) == s.genus
+    assert len(s.sporadic_elements()) == f - s.genus
+    entries = [0] * a
+    for k in range(a):
+        entries[k * b % a] = k * b
+    assert s.apery_set().entries == tuple(entries)
