@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -409,17 +410,24 @@ def cmd_verify(max_genus: int, properties, jobs: int,
         report = campaign.run_campaign(max_genus, props, jobs)
     else:
         # opened before the run so that a bad path fails at once; append
-        # mode leaves an existing file as it was if the run does not finish
+        # mode leaves an existing file as it was if the run does not finish,
+        # and a file this call created is removed again
+        created = not os.path.exists(out_path)
         try:
             fh = open(out_path, "a", encoding="utf-8")
         except OSError as exc:
             raise ParseFailure("cannot write %s: %s"
                                % (out_path, exc.strerror)) from None
-        with fh:
-            report = campaign.run_campaign(max_genus, props, jobs)
-            fh.truncate(0)
-            fh.write(report.to_json())
-            fh.write("\n")
+        try:
+            with fh:
+                report = campaign.run_campaign(max_genus, props, jobs)
+                fh.truncate(0)
+                fh.write(report.to_json())
+                fh.write("\n")
+        except BaseException:
+            if created:
+                os.remove(out_path)
+            raise
     if fmt == "jsonl":
         print(json.dumps(report.to_json_dict(), separators=(", ", ": ")))
     elif fmt == "csv":

@@ -9,10 +9,11 @@ from_generators() is Apery-first: it computes the Apery set with respect to
 the smallest generator a_1 by round-robin shortest paths in O(e * a_1) steps
 (Boecker & Liptak, Algorithmica 2007), reads F = max Ap - a_1 and
 g = sum of floor(w / a_1) off it, checks the conductor cap, and only then
-builds the mask from the Apery entries by doubling shifts.  The invariant
-scans (gaps, sporadic elements, Apery set, pseudo-Frobenius numbers) work on
-whole masks and extract bit positions in one linear pass, so a query costs
-O(e * a_1 + c).
+builds the mask from the Apery entries by doubling shifts.  Lower bounds on
+the conductor are tested against the cap before the a_1-entry table is
+built.  The invariant scans (gaps, sporadic elements, Apery set,
+pseudo-Frobenius numbers) work on whole masks and extract bit positions in
+one linear pass, so a query costs O(e * a_1 + c).
 
 Invariants follow the usual notation: gaps(S) is the complement, g = #gaps
 the genus, F the largest gap (Frobenius number), m the least positive element
@@ -58,6 +59,11 @@ def conductor_cap() -> int:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _extended_mask(mask: int, conductor: int, k: int) -> int:
+    """mask with the k bits conductor, ..., conductor + k - 1 set."""
+    return mask | (((1 << k) - 1) << conductor)
 
 
 def _bit_positions(v: int) -> list[int]:
@@ -199,9 +205,7 @@ class Semigroup:
         """
         if self._apery is None:
             m = self.multiplicity
-            c = self.conductor
-            ext = self.members_mask | (((1 << (c + m)) - 1)
-                                       ^ ((1 << c) - 1))
+            ext = _extended_mask(self.members_mask, self.conductor, m)
             entries = [0] * m
             for n in _bit_positions(ext & ~(ext << m)):
                 entries[n % m] = n
@@ -221,7 +225,7 @@ class Semigroup:
             gens = self.min_generators
             c = self.conductor
             mask = self.members_mask
-            ext = mask | (((1 << (c + gens[-1])) - 1) ^ ((1 << c) - 1))
+            ext = _extended_mask(mask, c, gens[-1])
             pf = ((1 << c) - 1) ^ mask
             for a in gens:
                 pf &= ext >> a
@@ -254,7 +258,7 @@ def _min_generators_from_mask(mask: int, conductor: int, mult: int) -> tuple[int
     if conductor == 0:
         return (1,)
     bound = conductor + mult
-    ext = mask | (((1 << bound) - 1) ^ ((1 << conductor) - 1))
+    ext = _extended_mask(mask, conductor, mult)
     pos = ext & ~1
     half = bound // 2
     acc = 0
@@ -320,11 +324,17 @@ def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
         min_gens.append(b)
         d = gcd(a1, r)
         for p in range(d):
-            # the cycle through 0 starts at w[0] = 0, its least entry
-            q = min(range(p, a1, d), key=w.__getitem__) if p else 0
-            n = w[q]
-            if n == inf:
-                continue
+            if p:
+                # the cycle through p is the class p mod d; start at its
+                # least entry
+                cycle = w[p::d]
+                n = min(cycle)
+                if n == inf:
+                    continue
+                q = p + d * cycle.index(n)
+            else:
+                # the cycle through 0 starts at w[0] = 0, its least entry
+                q = n = 0
             for _ in range(a1 // d - 1):
                 n += b
                 q += r
@@ -357,15 +367,30 @@ def _mask_from_apery(apery: list[int], a1: int, conductor: int) -> int:
     return mask
 
 
+def _binomial_below(n: int, k: int, bound: int) -> bool:
+    """comb(n, k) < bound, without computing a binomial far past bound.
+
+    comb(n, j) grows with j up to j = min(k, n - k), at least doubling while
+    j <= n / 3, so the loop stops after about log2(bound) steps.
+    """
+    count = 1
+    for j in range(1, min(k, n - k) + 1):
+        count = count * (n + 1 - j) // j
+        if count >= bound:
+            return False
+    return True
+
+
 def from_generators(values: Iterable[int]) -> Semigroup:
     """Numerical semigroup generated by the given positive integers.
 
     Raises EmptyInput for an empty list, NonCoprime when the gcd exceeds 1,
     ValueError for nonpositive entries or an invalid NUMSGP_MAX_CONDUCTOR,
-    and ConductorCapExceeded when the conductor would reach conductor_cap();
-    the cap is checked before the mask is built, so it bounds time as well
-    as memory.  The result's min_generators is the unique minimal generating
-    set, which may be smaller than the input.
+    and ConductorCapExceeded when the conductor would reach conductor_cap().
+    The cap is checked before the c-bit mask is built, and against lower
+    bounds on c before the a_1-entry Apery table is built.  The result's
+    min_generators is the unique minimal generating set, which may be
+    smaller than the input.
     """
     gens = sorted(set(values))
     if not gens:
@@ -381,16 +406,31 @@ def from_generators(values: Iterable[int]) -> Semigroup:
     a1 = gens[0]
     if a1 == 1:
         return _naturals()
-    if a1 >= cap:
-        # 1, ..., a1 - 1 are gaps, so the conductor is at least a1
+    # A lower bound on c, checked before the a1-entry table is built.
+    # 1, ..., a1 - 1 are gaps, so c >= a1.  Every Apery element is below
+    # a1 * a_e, so the cap can only be reached when a1 * a_e > cap; then,
+    # each Apery element is a sum of generators from gens[1:], each at least
+    # a2, and at most comb(k + e - 1, k) such sums have k terms or fewer.
+    # If that is fewer than the a1 Apery elements, the largest one,
+    # c + a1 - 1, is at least (k + 1) a2.  k is the least that makes this
+    # bound reach the cap, so the test is exact for two generators, where
+    # c = (a1 - 1)(a2 - 1).
+    floor = a1
+    if a1 * gens[-1] > cap:
+        a2 = gens[1]
+        k = -(-(cap + a1 - 1) // a2) - 1
+        if _binomial_below(k + len(gens) - 1, k, a1):
+            floor = (k + 1) * a2 - a1 + 1
+    if floor >= cap:
         raise ConductorCapExceeded(
-            "conductor at least %d reaches the cap %d" % (a1, cap))
+            "conductor at least %d reaches the cap %d" % (floor, cap))
     apery, min_gens = _apery_round_robin(gens)
     conductor = max(apery) - a1 + 1
     if conductor >= cap:
         raise ConductorCapExceeded(
             "conductor %d reaches the cap %d" % (conductor, cap))
-    genus = sum(w // a1 for w in apery)
+    # Selmer: g = sum of floor(w / a1), and entry r is congruent to r
+    genus = (sum(apery) - a1 * (a1 - 1) // 2) // a1
     s = Semigroup(min_gens, conductor, _mask_from_apery(apery, a1, conductor),
                   genus, conductor - 1, a1)
     s._apery = AperyTable(a1, tuple(apery))
@@ -405,15 +445,15 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     can only appear in (a, a + m'], m' the child's multiplicity.
     """
     conductor = a + 1
-    child_mask = (s.members_mask | (((1 << conductor) - 1)
-                                    ^ ((1 << s.conductor) - 1))) ^ (1 << a)
+    child_mask = _extended_mask(s.members_mask, s.conductor,
+                                conductor - s.conductor) ^ (1 << a)
     mult = s.multiplicity
     if a == mult:
         positives = child_mask & ~1
         mult = ((positives & -positives).bit_length() - 1
                 if positives else conductor)
     bound = conductor + mult
-    ext = child_mask | (((1 << bound) - 1) ^ ((1 << conductor) - 1))
+    ext = _extended_mask(child_mask, conductor, mult)
     pos = ext & ~1
     half = bound // 2
     acc = 0

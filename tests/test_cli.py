@@ -271,6 +271,11 @@ def test_verify_out_kept_on_failed_run(tmp_path, capsys):
     assert run(capsys, "verify", "--max-genus", "3",
                "--out", str(path))[0] == 0
     assert json.loads(path.read_text())["max_genus"] == 3
+    # a path that did not exist is not left behind as an empty file
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "verify", "--max-genus", "99",
+               "--out", str(fresh))[0] == 2
+    assert not fresh.exists()
 
 
 def test_conductor_cap_env_invalid(capsys, monkeypatch):

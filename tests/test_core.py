@@ -300,6 +300,30 @@ def test_conductor_cap_before_construction(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("gens", [
+    [1000000007, 1000000009],
+    [1000000007, 1000000009, 1000000011],
+])
+def test_conductor_cap_rejects_large_a1_at_once(gens):
+    # an Apery table of a_1 entries would take gigabytes and minutes here;
+    # counting the short sums of the other generators proves c >= cap first
+    start = time.perf_counter()
+    with pytest.raises(ConductorCapExceeded):
+        from_generators(gens)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_conductor_cap_two_generators_exact(monkeypatch):
+    # c(<a, b>) = (a - 1)(b - 1); the test before the table decides alone
+    for a, b in ((2, 3), (3, 4), (101, 103), (1009, 1013)):
+        c = (a - 1) * (b - 1)
+        monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", str(c))
+        with pytest.raises(ConductorCapExceeded):
+            from_generators([a, b])
+        monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", str(c + 1))
+        assert from_generators([a, b]).conductor == c
+
+
 @pytest.mark.parametrize("gens,frobenius,genus", [
     ([1009, 1013, 1017], 511559, 256032),
     ([2003, 2011, 2017], 582891, 292590),
@@ -374,6 +398,20 @@ def test_construction_against_oracle(gens):
     # the cached Apery set from the construction agrees with a fresh scan
     fresh = Semigroup(*s.__getstate__())
     assert fresh.apery_set() == s.apery_set()
+
+
+@settings(max_examples=80, deadline=None)
+@given(construction_inputs())
+def test_conductor_cap_is_exact(gens):
+    # the early rejection only fires on a conductor that reaches the cap
+    s = from_generators(gens)
+    assume(not s.is_trivial)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NUMSGP_MAX_CONDUCTOR", str(s.conductor + 1))
+        assert from_generators(gens) == s
+        mp.setenv("NUMSGP_MAX_CONDUCTOR", str(s.conductor))
+        with pytest.raises(ConductorCapExceeded):
+            from_generators(gens)
 
 
 @settings(max_examples=60, deadline=None)
