@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import tree
-from .core import (Semigroup, _add_gap_member, _bit_positions,
-                   _remove_generator)
+from .core import (Semigroup, _add_gap_member, _apery_mask,
+                   _extended_mask, _pf_mask, _remove_generator, _reverse)
 from .errors import BoundTooLarge, UnknownProperty
 from .maxgen import _canonical_masks, _rg_mask
 
@@ -164,11 +164,7 @@ def _eval_node(s: Semigroup, sel: int, checked: list, failures: list) -> None:
         checked[2] += 1
         rgf = _rg_mask(mask, c, f)
         cond_iii = ae == f + m and rgf.bit_count() == m - 2
-        shifted = [L + m for L in _bit_positions(rgf)]
-        fm = f + m
-        apery_minus = sorted(x for x in s.apery_set().entries
-                             if x and x != fm)
-        cond_ii = shifted == apery_minus
+        cond_ii = rgf << m == _apery_mask(s) & ~1 & ~(1 << (f + m))
         if not (is_mg == cond_ii and is_mg == cond_iii):
             failures.append((2, gens))
 
@@ -190,15 +186,8 @@ def _eval_node(s: Semigroup, sel: int, checked: list, failures: list) -> None:
         if sel & _REFL:
             checked[7] += 1
             top = 2 * g + 1
-            img = 0
-            v = mask & ~1
-            while v:
-                low = v & -v
-                img |= 1 << (top - low.bit_length() + 1)
-                v ^= low
-            if top - c >= 1:
-                img |= ((1 << (top - c + 1)) - 1) & ~1
-            if img != ~mask & ((1 << c) - 1) & ~1:
+            members = _extended_mask(mask, c, top - c) & ~1
+            if _reverse(members, top + 1) != ((1 << c) - 1) ^ mask:
                 failures.append((7, gens))
         if sel & (_CORR | _CHAIN):
             sp = _remove_generator(s, ae)
@@ -237,10 +226,7 @@ def _eval_node(s: Semigroup, sel: int, checked: list, failures: list) -> None:
     if sel & _CANON:
         checked[6] += 1
         _, offs = _canonical_masks(s)
-        want = 0
-        for p in s.pseudo_frobenius():
-            want |= 1 << (f - p)
-        ok = offs == want
+        ok = offs == _reverse(_pf_mask(s), c)
         if ok and is_mg:
             a1 = gens[0]
             want = 0

@@ -83,6 +83,42 @@ def _bit_positions(v: int) -> list[int]:
     return out
 
 
+def _reverse(v: int, n: int) -> int:
+    """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n.
+
+    One pass over bin(v): its digits read backwards, padded to n, are the
+    mirrored mask read forwards.
+    """
+    return int(bin(v)[:1:-1].ljust(n, "0"), 2)
+
+
+def _apery_mask(s: Semigroup) -> int:
+    """Bit n set iff n is in the Apery set of S with respect to m.
+
+    These are the members n with n - m not in S; all of them lie below
+    c + m.
+    """
+    ext = _extended_mask(s.members_mask, s.conductor, s.multiplicity)
+    return ext & ~(ext << s.multiplicity)
+
+
+def _pf_mask(s: Semigroup) -> int:
+    """Bit p set iff p is a pseudo-Frobenius number of the nontrivial S.
+
+    It suffices to test p + a in S over the minimal generators a, all at
+    once: the gap mask AND the member mask (extended past c) shifted down by
+    a, for each a.
+    """
+    gens = s.min_generators
+    c = s.conductor
+    mask = s.members_mask
+    ext = _extended_mask(mask, c, gens[-1])
+    pf = ((1 << c) - 1) ^ mask
+    for a in gens:
+        pf &= ext >> a
+    return pf
+
+
 @dataclass(frozen=True)
 class AperyTable:
     """Apery set of S with respect to its multiplicity m.
@@ -176,9 +212,6 @@ class Semigroup:
     def largest_generator(self) -> int:
         return self.min_generators[-1]
 
-    def membership(self, n: int) -> bool:
-        return n in self
-
     def gaps(self) -> tuple[int, ...]:
         """The complement, ascending.  Empty for the trivial semigroup."""
         if self._gaps is None:
@@ -198,38 +231,21 @@ class Semigroup:
             self.members_mask & ((1 << self.frobenius) - 2)))
 
     def apery_set(self) -> AperyTable:
-        """Least element of S in each residue class mod m.
-
-        These are the members n with n - m not in S; all of them lie below
-        c + m.
-        """
+        """Least element of S in each residue class mod m."""
         if self._apery is None:
             m = self.multiplicity
-            ext = _extended_mask(self.members_mask, self.conductor, m)
             entries = [0] * m
-            for n in _bit_positions(ext & ~(ext << m)):
+            for n in _bit_positions(_apery_mask(self)):
                 entries[n % m] = n
             self._apery = AperyTable(m, tuple(entries))
         return self._apery
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
-        """Gaps p with p + s in S for every positive s in S, ascending.
-
-        It suffices to test s over the minimal generators, all at once: the
-        gap mask AND the member mask (extended past c) shifted down by a,
-        for each minimal generator a.
-        """
+        """Gaps p with p + s in S for every positive s in S, ascending."""
         if self.is_trivial:
             raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
         if self._pf is None:
-            gens = self.min_generators
-            c = self.conductor
-            mask = self.members_mask
-            ext = _extended_mask(mask, c, gens[-1])
-            pf = ((1 << c) - 1) ^ mask
-            for a in gens:
-                pf &= ext >> a
-            self._pf = tuple(_bit_positions(pf))
+            self._pf = tuple(_bit_positions(_pf_mask(self)))
         return self._pf
 
     def type_number(self) -> int:

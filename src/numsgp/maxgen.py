@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .core import Semigroup, _bit_positions, from_generators
+from .core import (Semigroup, _BINARY_DIGITS, _bit_positions,
+                   _extended_mask, _reverse, from_generators)
 from .errors import (
     BadParameters,
     EmbeddingDimTooSmall,
@@ -131,13 +132,9 @@ def reflection_map(s: Semigroup) -> tuple[tuple[int, int], ...]:
     """
     _require_max_generated(s)
     top = 2 * s.genus + 1
-    mask = s.members_mask
     c = s.conductor
-    out = []
-    for n in range(1, top):
-        if n >= c or (mask >> n) & 1:
-            out.append((n, top - n))
-    return tuple(out)
+    members = _extended_mask(s.members_mask, c, top - c) & ~1
+    return tuple((n, top - n) for n in _bit_positions(members))
 
 
 def to_symmetric(s: Semigroup) -> Semigroup:
@@ -165,19 +162,13 @@ def frobenius_formula_check(s: Semigroup) -> bool:
 
 
 def _rg_mask(mask: int, conductor: int, n: int) -> int:
-    # bit L set iff L and n - L are both gaps, 1 <= L <= n - 1
-    out = 0
-    limit = min(n, conductor)
-    v = ~mask & ((1 << limit) - 1) & ~1
-    while v:
-        low = v & -v
-        w = n - low.bit_length() + 1
-        if w >= conductor or (mask >> w) & 1:
-            pass
-        else:
-            out |= low
-        v ^= low
-    return out
+    """Bit L set iff L and n - L are both gaps, for n >= 1.
+
+    With G the gaps in [1, min(n, c) - 1], mirroring G over n + 1 bits sends
+    L to n - L, so RG(n) = G AND its mirror image.
+    """
+    gaps = ~mask & ((1 << min(n, conductor)) - 1) & ~1
+    return gaps & _reverse(gaps, n + 1)
 
 
 def reflected_gaps(n: int, s: Semigroup) -> tuple[int, ...]:
@@ -218,25 +209,17 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
 def _canonical_masks(s: Semigroup) -> tuple[int, int]:
     """(K mask over [0, F], minimal-offset mask) for K = {z : F - z not in S}.
 
-    An offset o is minimal when no positive member u of S has o - u in K;
-    sweeping K upward by every positive member <= F marks all non-minimal
-    elements at once.
+    K over [0, F] is the gap mask mirrored over c bits (z to F - z).  An
+    offset o is minimal when no positive member u of S has o - u in K.
+    Shifting K by the minimal generators alone marks every non-minimal
+    offset, because K + S is a subset of K: if o - u is in K and
+    u = a + u' with a a minimal generator and u' in S, then o - a is in K.
     """
-    mask = s.members_mask
     c = s.conductor
-    f = s.frobenius
-    k = 0
-    v = ~mask & ((1 << c) - 1) & ~1
-    while v:
-        low = v & -v
-        k |= 1 << (f - low.bit_length() + 1)
-        v ^= low
+    k = _reverse(((1 << c) - 1) ^ s.members_mask, c)
     nonmin = 0
-    v = mask & ~1
-    while v:
-        low = v & -v
-        nonmin |= k << (low.bit_length() - 1)
-        v ^= low
+    for a in s.min_generators:
+        nonmin |= k << a
     return k, k & ~nonmin
 
 
@@ -250,8 +233,8 @@ def canonical_ideal(s: Semigroup) -> ShiftIdeal:
     """
     _require_nontrivial(s)
     k, offs = _canonical_masks(s)
-    f = s.frobenius
-    table = tuple(bool((k >> z) & 1) for z in range(f + 1)) + (True,)
+    digits = bin(k)[:1:-1].ljust(s.conductor, "0").encode()
+    table = tuple(map(bool, digits.translate(_BINARY_DIGITS))) + (True,)
     return ShiftIdeal(base=s, offsets=tuple(_bit_positions(offs)),
                       members_below_bound=table)
 

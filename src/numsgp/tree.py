@@ -9,7 +9,6 @@ that genus once, keeping only the current frontier in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Semigroup, _naturals, _remove_generator
@@ -17,28 +16,6 @@ from .errors import BoundTooLarge
 
 #: Deepest supported enumeration; a pure depth guard, not a memory limit.
 MAX_GENUS = 45
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    semigroup: Semigroup
-    removable_generators: tuple[int, ...]
-
-
-def root() -> TreeNode:
-    n = _naturals()
-    return TreeNode(n, n.min_generators)
-
-
-def _node(s: Semigroup) -> TreeNode:
-    f = s.frobenius
-    return TreeNode(s, tuple(a for a in s.min_generators if a > f))
-
-
-def children(node: TreeNode) -> list[TreeNode]:
-    """One child per removable generator, ascending in the removed value."""
-    s = node.semigroup
-    return [_node(_remove_generator(s, a)) for a in node.removable_generators]
 
 
 def walk(max_genus: int, start: Semigroup | None = None) -> Iterator[Semigroup]:

@@ -124,3 +124,33 @@ def test_report_json_shape(report12):
 
 def test_wall_time_positive(report12):
     assert report12.wall_time > 0
+
+
+def _failed(rep, name):
+    return [w for p, w in rep.property_failures if p == name]
+
+
+def test_broken_rg_mask_is_caught(monkeypatch):
+    real = campaign._rg_mask
+
+    def drop_lowest_bit(mask, conductor, n):
+        v = real(mask, conductor, n)
+        return v & (v - 1)
+
+    monkeypatch.setattr(campaign, "_rg_mask", drop_lowest_bit)
+    rep = campaign.run_campaign(10, ["apery_reflected_gaps"], jobs=1)
+    assert not rep.passed
+    witnesses = _failed(rep, "apery_reflected_gaps")
+    assert witnesses and all(len(w) >= 2 for w in witnesses)
+
+
+def test_broken_reverse_is_caught(monkeypatch):
+    real = campaign._reverse
+    monkeypatch.setattr(campaign, "_reverse",
+                        lambda v, n: real(v, n + 1))
+    rep = campaign.run_campaign(
+        10, ["canonical_gens", "reflection_bijection"], jobs=1)
+    assert not rep.passed
+    for name in ("canonical_gens", "reflection_bijection"):
+        witnesses = _failed(rep, name)
+        assert witnesses and all(len(w) >= 2 for w in witnesses)

@@ -17,6 +17,7 @@ from numsgp.core import (
     AperyTable,
     Semigroup,
     _remove_generator,
+    _reverse,
     conductor_cap,
     from_generators,
 )
@@ -97,7 +98,7 @@ def test_membership():
     for n in range(9):
         assert (n in s) == (n in members or n >= 5)
     assert -1 not in s
-    assert s.membership(100)
+    assert 100 in s
 
 
 def test_input_validation():
@@ -433,3 +434,38 @@ def test_sylvester_two_generators(a, k):
     for k in range(a):
         entries[k * b % a] = k * b
     assert s.apery_set().entries == tuple(entries)
+
+
+def _reverse_reference(v, n):
+    out = 0
+    for i in range(n):
+        if (v >> i) & 1:
+            out |= 1 << (n - 1 - i)
+    return out
+
+
+@st.composite
+def reverse_inputs(draw):
+    n = draw(st.integers(1, 400))
+    return draw(st.integers(0, 2**n - 1)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(reverse_inputs())
+def test_reverse_matches_per_bit_reference(vn):
+    v, n = vn
+    r = _reverse(v, n)
+    assert r == _reverse_reference(v, n)
+    assert _reverse(r, n) == v
+
+
+def test_reverse_edges():
+    assert _reverse(0, 1) == 0
+    assert _reverse(1, 1) == 1
+    assert _reverse(0, 7) == 0
+    # leading zeros of the result, then of the input
+    assert _reverse(1, 5) == 0b10000
+    assert _reverse(0b10000, 5) == 1
+    assert _reverse(0b0011, 6) == 0b110000
+    assert _reverse(0b0110, 4) == 0b0110
+    assert _reverse(_reverse(0b101100, 9), 9) == 0b101100

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import subset_oracle as oracle
-from numsgp import maxgen
-from numsgp.core import from_generators
+from numsgp import maxgen, tree
+from numsgp.core import _pf_mask, from_generators
 from numsgp.errors import (
     BadParameters,
     EmbeddingDimTooSmall,
@@ -364,3 +364,100 @@ def test_interval_tails_are_max_generated():
         assert s.genus == m
         assert s.min_generators[-1] == 2 * m + 1
         assert maxgen.is_max_generated(s)
+
+
+# Per-gap reference loops: the implementations the whole-mask reflections
+# replaced.  Each bit is tested or set on its own, so they share no logic
+# with core._reverse.
+
+def _rg_mask_loop(mask, conductor, n):
+    out = 0
+    limit = min(n, conductor)
+    v = ~mask & ((1 << limit) - 1) & ~1
+    while v:
+        low = v & -v
+        w = n - low.bit_length() + 1
+        if not (w >= conductor or (mask >> w) & 1):
+            out |= low
+        v ^= low
+    return out
+
+
+def _canonical_masks_loop(s):
+    mask = s.members_mask
+    c = s.conductor
+    f = s.frobenius
+    k = 0
+    v = ~mask & ((1 << c) - 1) & ~1
+    while v:
+        low = v & -v
+        k |= 1 << (f - low.bit_length() + 1)
+        v ^= low
+    nonmin = 0
+    v = mask & ~1
+    while v:
+        low = v & -v
+        nonmin |= k << (low.bit_length() - 1)
+        v ^= low
+    return k, k & ~nonmin
+
+
+def _reflection_map_loop(s):
+    top = 2 * s.genus + 1
+    return tuple((n, top - n) for n in range(1, top) if n in s)
+
+
+def _pf_loop(s):
+    return tuple(p for p in s.gaps()
+                 if all(p + a in s for a in s.min_generators))
+
+
+def _bits(v):
+    return [i for i in range(v.bit_length()) if (v >> i) & 1]
+
+
+def test_reflection_masks_match_subset_oracle():
+    for s in tree.walk(6):
+        if s.is_trivial:
+            continue
+        gens = list(s.min_generators)
+        f, m = s.frobenius, s.multiplicity
+        for n in range(1, f + m + 3):
+            assert _bits(maxgen._rg_mask(s.members_mask, s.conductor, n)) \
+                == oracle.reflected_gaps(gens, n), (gens, n)
+        _, offs = maxgen._canonical_masks(s)
+        assert _bits(offs) == oracle.canonical_offsets(gens), gens
+
+
+def test_reflection_masks_match_per_gap_loops():
+    nodes = 0
+    for s in tree.walk(14):
+        if s.is_trivial:
+            continue
+        nodes += 1
+        mask, c = s.members_mask, s.conductor
+        for n in range(1, s.frobenius + s.multiplicity + 2):
+            assert maxgen._rg_mask(mask, c, n) == _rg_mask_loop(mask, c, n)
+        assert maxgen._canonical_masks(s) == _canonical_masks_loop(s)
+        pf = _pf_mask(s)
+        assert tuple(_bits(pf)) == s.pseudo_frobenius() == _pf_loop(s)
+        if maxgen.is_max_generated(s):
+            assert maxgen.reflection_map(s) == _reflection_map_loop(s)
+    assert nodes == 4106
+
+
+def test_reflection_masks_large_input():
+    # <701, 1100, 1350> has F = 61,599; <151, 200> with its Frobenius
+    # number adjoined is max-generated with F = 29,698
+    for s in (S(701, 1100, 1350),
+              maxgen.from_symmetric(S(151, 200))):
+        mask, c, f = s.members_mask, s.conductor, s.frobenius
+        for n in (f, f + s.multiplicity):
+            assert maxgen._rg_mask(mask, c, n) == _rg_mask_loop(mask, c, n)
+        k, offs = maxgen._canonical_masks(s)
+        assert offs == _canonical_masks_loop(s)[1]
+        ideal = maxgen.canonical_ideal(s)
+        assert ideal.members_below_bound[:-1] == \
+            tuple(bool((k >> z) & 1) for z in range(c))
+    s = maxgen.from_symmetric(S(151, 200))
+    assert maxgen.reflection_map(s) == _reflection_map_loop(s)

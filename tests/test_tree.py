@@ -7,7 +7,7 @@ import pytest
 
 import subset_oracle as oracle
 from numsgp import tree
-from numsgp.core import from_generators
+from numsgp.core import _remove_generator, from_generators
 from numsgp.errors import BoundTooLarge
 
 # full sequence of counts by genus through 15, confirmed by the subset
@@ -15,34 +15,43 @@ from numsgp.errors import BoundTooLarge
 COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857]
 
 
+def children(s):
+    """One child per removable generator, ascending in the removed value."""
+    return [_remove_generator(s, a)
+            for a in s.min_generators if a > s.frobenius]
+
+
 def test_root():
-    r = tree.root()
-    assert r.semigroup.is_trivial
-    assert r.removable_generators == (1,)
+    (r,) = tree.walk(0)
+    assert r.is_trivial
+    assert tuple(a for a in r.min_generators if a > r.frobenius) == (1,)
 
 
 def test_children_examples():
-    r = tree.root()
-    kids = tree.children(r)
-    assert [c.semigroup.min_generators for c in kids] == [(2, 3)]
+    (r,) = tree.walk(0)
+    kids = children(r)
+    assert [c.min_generators for c in kids] == [(2, 3)]
 
-    kids = tree.children(kids[0])
-    assert [c.semigroup.min_generators for c in kids] == [(3, 4, 5), (2, 5)]
+    kids = children(kids[0])
+    assert [c.min_generators for c in kids] == [(3, 4, 5), (2, 5)]
 
-    node = tree.TreeNode(from_generators([3, 4, 5]), (3, 4, 5))
-    kids = tree.children(node)
-    assert [c.semigroup.min_generators for c in kids] == \
+    kids = children(from_generators([3, 4, 5]))
+    assert [c.min_generators for c in kids] == \
         [(4, 5, 6, 7), (3, 5, 7), (3, 4)]
 
 
 def test_children_genus_and_removables():
-    node = tree.children(tree.children(tree.root())[0])[0]
-    s = node.semigroup
+    (r,) = tree.walk(0)
+    s = children(children(r)[0])[0]
     assert s.genus == 2
-    assert node.removable_generators == \
-        tuple(a for a in s.min_generators if a > s.frobenius)
-    for child in tree.children(node):
-        assert child.semigroup.genus == s.genus + 1
+    kids = children(s)
+    assert [a for a in s.min_generators if a > s.frobenius] == [3, 4, 5]
+    assert len(kids) == 3
+    for child in kids:
+        assert child.genus == s.genus + 1
+    # the walk visits the same children, last pushed first
+    walked = [x for x in tree.walk(s.genus + 1, s) if x.genus == s.genus + 1]
+    assert walked == kids[::-1]
 
 
 def test_counts_by_genus():
