@@ -1,9 +1,10 @@
 """Numerical semigroups with largest minimal generator 2g + 1.
 
 Core invariants (:mod:`numsgp.core`), the max-generated constructions and
-inequalities (:mod:`numsgp.maxgen`), genus-tree enumeration
-(:mod:`numsgp.tree`), and exhaustive verification campaigns
-(:mod:`numsgp.campaign`).  The ``numsgp`` console script fronts all of it.
+inequalities (:mod:`numsgp.maxgen`), the checked properties
+(:mod:`numsgp.properties`), genus-tree enumeration (:mod:`numsgp.tree`),
+and exhaustive verification campaigns (:mod:`numsgp.campaign`).  The
+``numsgp`` console script fronts all of it.
 """
 
 from .core import AperyTable, Semigroup, from_generators

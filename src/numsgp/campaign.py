@@ -8,26 +8,8 @@ plain addition.  The merged report is byte-identical for any worker count,
 and failures carry the minimal generator list of the offending semigroup as
 a witness.
 
-Check registry (names accepted by run_campaign and the CLI):
-
-  wilf                  g*e <= (e-1)*(F+1) on every semigroup
-  wilf_equality         the m=2 and interval families attain equality
-  apery_reflected_gaps  the three descriptions of a_e = 2g+1 agree
-  frobenius_formula     F = a_e - m when a_e = 2g+1
-  pf_formula            PF = {a_e - a_i : i < e} when a_e = 2g+1
-  type                  t = e - 1 when a_e = 2g+1
-  canonical_gens        canonical-ideal offsets = {F - p : p in PF}, and
-                        also = {a_i - a_1 : i < e} when a_e = 2g+1
-  reflection_bijection  n -> 2g+1-n maps members of [1,2g] onto the gaps
-  correspondence        drop-a_e / adjoin-F round-trips between a_e = 2g+1
-                        semigroups and symmetric ones a genus higher
-  closed_gap_wilf       T = S + {a_e - a_1} drops the genus by one, keeps
-                        e when a_e > 2a_1 (with PF(T) the predicted set),
-                        and satisfies Wilf's inequality
-  sym_generators        symmetric with m >= 3: all generators below F
-  genus_bound           F > m: (g-1)(e-1) >= (m-2)e and e + g >= 2m - 1
-  inequality_chain      a_e = 2g+1, e > 2: the multiplicity form and the
-                        symmetric-partner form agree with the Wilf verdict
+The checks themselves, and the names accepted by run_campaign and the CLI,
+are the rows of :mod:`numsgp.properties`.
 """
 
 from __future__ import annotations
@@ -38,42 +20,12 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import tree
-from .core import (Semigroup, _add_gap_member, _apery_mask,
-                   _extended_mask, _pf_mask, _remove_generator, _reverse)
+from .core import Semigroup
 from .errors import BoundTooLarge, UnknownProperty
-from .maxgen import _canonical_masks, _rg_mask
-
-PROPERTIES = (
-    "wilf",
-    "wilf_equality",
-    "apery_reflected_gaps",
-    "frobenius_formula",
-    "pf_formula",
-    "type",
-    "canonical_gens",
-    "reflection_bijection",
-    "correspondence",
-    "closed_gap_wilf",
-    "sym_generators",
-    "genus_bound",
-    "inequality_chain",
-)
+from .properties import (DOMAIN_KEYS, MAXGEN, PROPERTIES, ROWS, SYMMETRIC,
+                         TRIVIAL, correspondence_count_failures, domains)
 
 _INDEX = {name: i for i, name in enumerate(PROPERTIES)}
-
-_WILF = 1 << _INDEX["wilf"]
-_WILF_EQ = 1 << _INDEX["wilf_equality"]
-_ARG = 1 << _INDEX["apery_reflected_gaps"]
-_FROB = 1 << _INDEX["frobenius_formula"]
-_PF = 1 << _INDEX["pf_formula"]
-_TYPE = 1 << _INDEX["type"]
-_CANON = 1 << _INDEX["canonical_gens"]
-_REFL = 1 << _INDEX["reflection_bijection"]
-_CORR = 1 << _INDEX["correspondence"]
-_CLOSED = 1 << _INDEX["closed_gap_wilf"]
-_SYMGEN = 1 << _INDEX["sym_generators"]
-_GBOUND = 1 << _INDEX["genus_bound"]
-_CHAIN = 1 << _INDEX["inequality_chain"]
 
 #: Subtrees rooted at this genus become independent work units.
 SPLIT_GENUS = 11
@@ -125,147 +77,38 @@ class CampaignReport:
         return json.dumps(self.to_json_dict(include_wall_time), indent=2)
 
 
-def _eval_node(s: Semigroup, sel: int, checked: list, failures: list) -> None:
-    """Run every selected applicable check on one semigroup."""
-    gens = s.min_generators
-    g = s.genus
-    f = s.frobenius
-    if f < 0:
-        # the full semigroup: only the correspondence boundary applies,
-        # pairing it with the symmetric semigroup <2,3> one genus up
-        if sel & _CORR:
-            checked[8] += 1
-            sp = _remove_generator(s, 1)
-            if not (sp.frobenius == 1 and sp.genus == 1
-                    and _add_gap_member(sp, 1) == s):
-                failures.append((8, gens))
-        return
-
-    e = len(gens)
-    m = s.multiplicity
-    ae = gens[-1]
-    mask = s.members_mask
-    c = f + 1
-    is_mg = ae == 2 * g + 1
-    is_sym = c == 2 * g
-    sp = None
-
-    if sel & _WILF:
-        checked[0] += 1
-        if g * e > (e - 1) * c:
-            failures.append((0, gens))
-
-    if sel & _WILF_EQ and (m == 2 or f == m - 1):
-        checked[1] += 1
-        if e * (c - g) != c:
-            failures.append((1, gens))
-
-    if sel & _ARG:
-        checked[2] += 1
-        rgf = _rg_mask(mask, c, f)
-        cond_iii = ae == f + m and rgf.bit_count() == m - 2
-        cond_ii = rgf << m == _apery_mask(s) & ~1 & ~(1 << (f + m))
-        if not (is_mg == cond_ii and is_mg == cond_iii):
-            failures.append((2, gens))
-
-    if is_mg:
-        if sel & _FROB:
-            checked[3] += 1
-            if f != ae - m:
-                failures.append((3, gens))
-        if sel & (_PF | _TYPE):
-            pf = s.pseudo_frobenius()
-            if sel & _PF:
-                checked[4] += 1
-                if list(pf) != sorted(ae - a for a in gens[:-1]):
-                    failures.append((4, gens))
-            if sel & _TYPE:
-                checked[5] += 1
-                if len(pf) != e - 1:
-                    failures.append((5, gens))
-        if sel & _REFL:
-            checked[7] += 1
-            top = 2 * g + 1
-            members = _extended_mask(mask, c, top - c) & ~1
-            if _reverse(members, top + 1) != ((1 << c) - 1) ^ mask:
-                failures.append((7, gens))
-        if sel & (_CORR | _CHAIN):
-            sp = _remove_generator(s, ae)
-        if sel & _CORR:
-            checked[8] += 1
-            if not (sp.frobenius == ae and sp.genus == g + 1
-                    and sp.conductor == 2 * g + 2
-                    and sp.multiplicity == m
-                    and _add_gap_member(sp, ae) == s):
-                failures.append((8, gens))
-        if sel & _CLOSED:
-            checked[9] += 1
-            a1 = gens[0]
-            x = ae - a1
-            t = _add_gap_member(s, x)
-            te = len(t.min_generators)
-            ok = t.genus == g - 1 and t.frobenius < x
-            if ok and t.frobenius >= 0:
-                ok = t.genus * te <= (te - 1) * (t.frobenius + 1)
-            if ok and ae > 2 * a1:
-                want = {ae - 2 * a1}
-                want.update(ae - a for a in gens[1:-1])
-                ok = te == e and set(t.pseudo_frobenius()) == want
-            if not ok:
-                failures.append((9, gens))
-        if sel & _CHAIN and e > 2:
-            checked[12] += 1
-            ep = len(sp.min_generators)
-            mult_ok = (m - 2) * (e - 1) <= (e - 2) * g
-            sym_ok = ((sp.genus - 1) * (ep - 1)
-                      >= (sp.multiplicity - 2) * ep)
-            wilf_ok = g * e <= (e - 1) * c
-            if not (mult_ok and sym_ok and wilf_ok):
-                failures.append((12, gens))
-
-    if sel & _CANON:
-        checked[6] += 1
-        _, offs = _canonical_masks(s)
-        ok = offs == _reverse(_pf_mask(s), c)
-        if ok and is_mg:
-            a1 = gens[0]
-            want = 0
-            for a in gens[:-1]:
-                want |= 1 << (a - a1)
-            ok = offs == want
-        if not ok:
-            failures.append((6, gens))
-
-    if is_sym:
-        if sel & _CORR:
-            checked[8] += 1
-            sm = _add_gap_member(s, f)
-            if not (sm.genus == g - 1 and sm.min_generators[-1] == 2 * g - 1
-                    and _remove_generator(sm, f) == s):
-                failures.append((8, gens))
-        if sel & _SYMGEN and m >= 3:
-            checked[10] += 1
-            if ae >= f:
-                failures.append((10, gens))
-
-    if sel & _GBOUND and f > m:
-        checked[11] += 1
-        if ((g - 1) * (e - 1) < (m - 2) * e
-                or e + g < 2 * m - 1):
-            failures.append((11, gens))
+def _plan(names: tuple[str, ...]) -> dict:
+    """For each value of domains(), the (index, applies, holds) of the rows
+    of the selected properties whose domain contains it."""
+    rows = [(_INDEX[r.name], r.domain, r.applies, r.holds)
+            for r in ROWS if r.name in names]
+    return {key: tuple((i, applies, holds)
+                       for i, domain, applies, holds in rows if domain & key)
+            for key in DOMAIN_KEYS}
 
 
-def _tally(s: Semigroup, counts: list, mg: list, sym: list) -> None:
+def _visit(s: Semigroup, plan: dict, counts: list, mg: list, sym: list,
+           checked: list, failures: list) -> None:
+    """Tally one semigroup and run the selected checks that apply to it.
+
+    The trivial semigroup is tallied as both a_e = 2g + 1 (1 = 2*0 + 1) and
+    symmetric (F + 1 = 0 = 2g).
+    """
+    key = domains(s)
     g = s.genus
     counts[g] += 1
-    if s.min_generators[-1] == 2 * g + 1:
+    if key & (TRIVIAL | MAXGEN):
         mg[g] += 1
-    if s.frobenius + 1 == 2 * g:
+    if key & (TRIVIAL | SYMMETRIC):
         sym[g] += 1
+    for i, applies, holds in plan[key]:
+        if applies is None or applies(s):
+            checked[i] += 1
+            if not holds(s):
+                failures.append((i, s.min_generators))
 
 
-def _subtree_task(args: tuple) -> tuple:
-    start, max_genus, sel = args
+def _subtree(start: Semigroup, max_genus: int, plan: dict) -> tuple:
     n = max_genus + 1
     counts = [0] * n
     mg = [0] * n
@@ -273,9 +116,16 @@ def _subtree_task(args: tuple) -> tuple:
     checked = [0] * len(PROPERTIES)
     failures: list = []
     for s in tree.walk(max_genus, start):
-        _tally(s, counts, mg, sym)
-        _eval_node(s, sel, checked, failures)
+        _visit(s, plan, counts, mg, sym, checked, failures)
     return counts, mg, sym, checked, failures
+
+
+def _subtree_task(args: tuple) -> tuple:
+    """Pool entry point.  Workers get the property names, not the plan:
+    pickling the plan's functions for every work unit costs more than
+    building the plan again."""
+    start, max_genus, names = args
+    return _subtree(start, max_genus, _plan(names))
 
 
 def resolve_properties(properties) -> tuple[str, ...]:
@@ -310,9 +160,7 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     names = resolve_properties(properties)
-    sel = 0
-    for name in names:
-        sel |= 1 << _INDEX[name]
+    plan = _plan(names)
 
     t0 = time.perf_counter()
     n = max_genus + 1
@@ -328,12 +176,11 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
         if s.genus == split:
             roots.append(s)
         else:
-            _tally(s, counts, mg, sym)
-            _eval_node(s, sel, checked, failures)
-    payloads = [(s, max_genus, sel) for s in roots]
+            _visit(s, plan, counts, mg, sym, checked, failures)
     if jobs == 1:
-        results = map(_subtree_task, payloads)
+        results = (_subtree(s, max_genus, plan) for s in roots)
     else:
+        payloads = [(s, max_genus, names) for s in roots]
         with Pool(jobs) as pool:
             results = pool.map(_subtree_task, payloads, chunksize=1)
     for tc, tmg, tsym, tch, tfail in results:
@@ -346,10 +193,8 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
         failures.extend(tfail)
 
     if "correspondence" in names:
-        # per-node round-trips imply it, but assert the count identity too
-        for g in range(max_genus):
-            if mg[g] != sym[g + 1]:
-                failures.append((_INDEX["correspondence"], (g,)))
+        failures.extend((_INDEX["correspondence"], (g,))
+                        for g in correspondence_count_failures(mg, sym))
 
     failures = sorted((PROPERTIES[i], tuple(w)) for i, w in failures)
     return CampaignReport(

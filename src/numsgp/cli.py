@@ -15,10 +15,9 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import campaign, maxgen
-from .core import Semigroup, from_generators
+from . import campaign, maxgen, properties
+from .core import from_generators
 from .errors import (
     CampaignConfigError,
     InvalidSemigroupInput,
@@ -48,10 +47,6 @@ def _parse_gens(text: str) -> list[int]:
             raise ParseFailure("generators must be positive, got %d" % v)
         out.append(v)
     return out
-
-
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _record(command: str, input_gens, result, provenance: str) -> dict:
@@ -88,15 +83,6 @@ def _emit(record: dict, fmt: str) -> None:
         raise ParseFailure("unknown format %r" % fmt)
 
 
-def _wilf_result(s: Semigroup) -> dict:
-    r = maxgen.wilf_report(s)
-    return {
-        "e": r.e, "g": r.g, "f": r.f, "m": r.m,
-        "lhs": _frac(r.lhs), "rhs": _frac(r.rhs), "margin": _frac(r.margin),
-        "holds": r.holds, "count_form_holds": r.count_form_holds,
-    }
-
-
 def cmd_info(gens: list[int]) -> dict:
     s = from_generators(gens)
     trivial = s.is_trivial
@@ -118,201 +104,30 @@ def cmd_info(gens: list[int]) -> dict:
     return _record("info", gens, result, "numsgp.core")
 
 
-def _check_wilf(s):
-    r = _wilf_result(s)
-    return r["holds"] and r["count_form_holds"], r, "numsgp.maxgen.wilf_report"
-
-
-def _check_wilf_equality(s):
-    r = maxgen.wilf_report(s)
-    applicable = s.multiplicity == 2 or s.frobenius == s.multiplicity - 1
-    holds = (not applicable) or r.margin == 0
-    return holds, {
-        "applicable": applicable,
-        "margin": _frac(r.margin),
-        "margin_zero": r.margin == 0,
-    }, "numsgp.maxgen.wilf_report"
-
-
-def _check_apery_reflected_gaps(s):
-    r = maxgen.reflected_gap_report(s)
-    equivalent = r.cond_i == r.cond_ii == r.cond_iii
-    return equivalent, {
-        "cond_i": r.cond_i, "cond_ii": r.cond_ii, "cond_iii": r.cond_iii,
-        "equivalent": equivalent,
-        "rg_f": list(r.rg_f), "rg_f_plus_m": list(r.rg_f_plus_m),
-        "apery_minus": list(r.apery_minus),
-    }, "numsgp.maxgen.reflected_gap_report"
-
-
-def _check_frobenius_formula(s):
-    ok = maxgen.frobenius_formula_check(s)
-    return ok, {
-        "frobenius": s.frobenius,
-        "largest_generator": s.min_generators[-1],
-        "multiplicity": s.multiplicity,
-        "holds": ok,
-    }, "numsgp.maxgen.frobenius_formula_check"
-
-
-def _check_pf_formula(s):
-    ok = maxgen.pf_formula_check(s)
-    ae = s.min_generators[-1]
-    return ok, {
-        "pf": list(s.pseudo_frobenius()),
-        "expected": sorted(ae - a for a in s.min_generators[:-1]),
-        "holds": ok,
-    }, "numsgp.maxgen.pf_formula_check"
-
-
-def _check_type(s):
-    maxgen._require_max_generated(s)
-    t = s.type_number()
-    ok = t == s.embedding_dimension - 1
-    return ok, {
-        "type": t,
-        "embedding_dimension": s.embedding_dimension,
-        "holds": ok,
-    }, "numsgp.core.type_number"
-
-
-def _check_canonical_gens(s):
-    ideal = maxgen.canonical_ideal(s)
-    f = s.frobenius
-    expected = sorted(f - p for p in s.pseudo_frobenius())
-    ok = list(ideal.offsets) == expected
-    return ok, {
-        "offsets": list(ideal.offsets),
-        "expected": expected,
-        "holds": ok,
-    }, "numsgp.maxgen.canonical_ideal"
-
-
-def _check_reflection_bijection(s):
-    pairs = maxgen.reflection_map(s)
-    image = sorted(b for _, b in pairs)
-    ok = image == list(s.gaps())
-    return ok, {
-        "pairs": [list(p) for p in pairs],
-        "image": image,
-        "gaps": list(s.gaps()),
-        "holds": ok,
-    }, "numsgp.maxgen.reflection_map"
-
-
-def _check_correspondence(s):
-    if not s.is_trivial and not maxgen.is_max_generated(s):
-        sm = maxgen.from_symmetric(s)  # raises NotSymmetric when neither
-        back = maxgen.to_symmetric(sm)
-        ok = back == s and sm.genus == s.genus - 1
-        return ok, {
-            "direction": "from_symmetric",
-            "partner": list(sm.min_generators),
-            "round_trip": back == s,
-            "holds": ok,
-        }, "numsgp.maxgen.from_symmetric"
-    sp = maxgen.to_symmetric(s)
-    back = maxgen.from_symmetric(sp)
-    ok = (back == s and sp.genus == s.genus + 1 and sp.is_symmetric()
-          and sp.frobenius == s.min_generators[-1])
-    return ok, {
-        "direction": "to_symmetric",
-        "partner": list(sp.min_generators),
-        "round_trip": back == s,
-        "holds": ok,
-    }, "numsgp.maxgen.to_symmetric"
-
-
-def _check_closed_gap_wilf(s):
-    t = maxgen.close_largest_gap(s)
-    gens = s.min_generators
-    ae = gens[-1]
-    ok = t.genus == s.genus - 1 and t.frobenius < ae - gens[0]
-    result = {
-        "closed": list(t.min_generators),
-        "genus": t.genus,
-        "wilf": None,
-        "distinguished_set": None,
-        "pf_match": None,
-    }
-    if not t.is_trivial:
-        w = maxgen.wilf_report(t)
-        ok = ok and w.holds
-        result["wilf"] = _wilf_result(t)
-    if ae > 2 * gens[0]:
-        d = maxgen.distinguished_set_for_closed(s)
-        match = list(d) == list(t.pseudo_frobenius())
-        ok = ok and match and t.embedding_dimension == s.embedding_dimension
-        result["distinguished_set"] = list(d)
-        result["pf_match"] = match
-    result["holds"] = ok
-    return ok, result, "numsgp.maxgen.close_largest_gap"
-
-
-def _check_sym_generators(s):
-    if not s.is_symmetric():
-        raise maxgen.NotSymmetric("%r is not symmetric" % (s,))
-    applicable = s.multiplicity >= 3
-    ok = (not applicable) or s.min_generators[-1] < s.frobenius
-    return ok, {
-        "applicable": applicable,
-        "largest_generator": s.min_generators[-1],
-        "frobenius": s.frobenius,
-        "holds": ok,
-    }, "numsgp.maxgen"
-
-
-def _check_genus_bound(s):
-    verdict = maxgen.genus_lower_bound_check(s)
-    asserted = s.frobenius > s.multiplicity
-    count_form = (s.embedding_dimension + s.genus
-                  >= 2 * s.multiplicity - 1)
-    ok = (not asserted) or (verdict and count_form)
-    return ok, {
-        "bound_holds": verdict,
-        "count_form_holds": count_form,
-        "asserted": asserted,
-        "holds": ok,
-    }, "numsgp.maxgen.genus_lower_bound_check"
-
-
-def _check_inequality_chain(s):
-    r = maxgen.maxgen_inequality_chain(s)
-    ok = r.mult_form_holds and r.symmetric_form_holds and r.wilf_holds
-    return ok, {
-        "mult_form_holds": r.mult_form_holds,
-        "symmetric_form_holds": r.symmetric_form_holds,
-        "wilf_holds": r.wilf_holds,
-        "holds": ok,
-    }, "numsgp.maxgen.maxgen_inequality_chain"
-
-
-_SINGLE_CHECKS = {
-    "wilf": _check_wilf,
-    "wilf_equality": _check_wilf_equality,
-    "apery_reflected_gaps": _check_apery_reflected_gaps,
-    "frobenius_formula": _check_frobenius_formula,
-    "pf_formula": _check_pf_formula,
-    "type": _check_type,
-    "canonical_gens": _check_canonical_gens,
-    "reflection_bijection": _check_reflection_bijection,
-    "correspondence": _check_correspondence,
-    "closed_gap_wilf": _check_closed_gap_wilf,
-    "sym_generators": _check_sym_generators,
-    "genus_bound": _check_genus_bound,
-    "inequality_chain": _check_inequality_chain,
-}
-
-
 def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
+    """Evaluate one property's registry rows on one semigroup.
+
+    The verdict is the conjunction over the rows whose domain contains the
+    semigroup, and the record comes from the first of them.  Outside every
+    domain this raises the last row's precondition violation (NotSymmetric
+    for correspondence); the trivial-semigroup row is left to campaigns,
+    so every property raises IsTrivial on <1>.
+    """
     name = prop.replace("-", "_")
-    if name not in _SINGLE_CHECKS:
+    rows = [r for r in properties.ROWS
+            if r.name == name and r.domain != properties.TRIVIAL]
+    if not rows:
         raise ParseFailure("unknown property %r; known: %s"
-                           % (prop, ", ".join(campaign.PROPERTIES)))
+                           % (prop, ", ".join(properties.PROPERTIES)))
     s = from_generators(gens)
-    holds, result, provenance = _SINGLE_CHECKS[name](s)
-    return (0 if holds else 1), _record("check:%s" % name, gens, result,
-                                        provenance)
+    key = properties.domains(s)
+    rows_in = [r for r in rows if r.domain & key]
+    if not rows_in:
+        properties.REQUIRE[rows[-1].domain](s)
+    ok = all(r.holds(s) for r in rows_in if r.applies is None or r.applies(s))
+    row = rows_in[0]
+    return (0 if ok else 1), _record("check:%s" % name, gens,
+                                     row.record(s, ok), row.provenance)
 
 
 def cmd_construct(kind: str, raw: str) -> dict:
@@ -364,7 +179,7 @@ def cmd_construct(kind: str, raw: str) -> dict:
             "embedding_dimension": t.embedding_dimension,
             "genus": t.genus,
             "frobenius": t.frobenius,
-            "wilf": None if t.is_trivial else _wilf_result(t),
+            "wilf": None if t.is_trivial else properties.wilf_fields(t),
         }
         if s.min_generators[-1] > 2 * s.min_generators[0]:
             d = maxgen.distinguished_set_for_closed(s)

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     ConductorCapExceeded,
@@ -59,6 +59,8 @@ def conductor_cap() -> int:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+#: Byte b maps to b with its eight bits mirrored.
+_MIRRORED_BYTES = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
 
 
 def _extended_mask(mask: int, conductor: int, k: int) -> int:
@@ -86,10 +88,13 @@ def _bit_positions(v: int) -> list[int]:
 def _reverse(v: int, n: int) -> int:
     """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n.
 
-    One pass over bin(v): its digits read backwards, padded to n, are the
-    mirrored mask read forwards.
+    One pass over the bytes of v: mirror the bits of each byte by table,
+    read the bytes in the opposite order, and drop the padding bits that
+    the byte boundary added at the bottom.
     """
-    return int(bin(v)[:1:-1].ljust(n, "0"), 2)
+    k = (n + 7) >> 3
+    mirrored = v.to_bytes(k, "little").translate(_MIRRORED_BYTES)
+    return int.from_bytes(mirrored, "big") >> (8 * k - n)
 
 
 def _apery_mask(s: Semigroup) -> int:
@@ -129,13 +134,6 @@ class AperyTable:
 
     modulus: int
     entries: tuple[int, ...]
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
 
 
 class Semigroup:
@@ -207,10 +205,6 @@ class Semigroup:
     def is_trivial(self) -> bool:
         """True for the semigroup of all nonnegative integers."""
         return self.conductor == 0
-
-    @property
-    def largest_generator(self) -> int:
-        return self.min_generators[-1]
 
     def gaps(self) -> tuple[int, ...]:
         """The complement, ascending.  Empty for the trivial semigroup."""

@@ -5,8 +5,8 @@ condition a_e = 2g + 1 pins down a lot of structure: n -> 2g+1-n maps the
 members of [1, 2g] onto the gaps, F = a_e - m, PF(S) = {a_e - a_i : i < e},
 the type is e - 1, and dropping a_e yields a symmetric semigroup of genus
 g + 1 (with adjoining the Frobenius number as inverse).  Each of those
-statements is exposed here as its own checkable operation so the campaign
-runner in :mod:`numsgp.campaign` can confirm them exhaustively, and the
+statements is exposed here as its own checkable operation, the property
+registry in :mod:`numsgp.properties` builds its verdicts on them, and the
 derived constructions (canonical ideal, closing the largest gap,
 distinguished gap sets, the interval-tail family) live here too.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .core import (Semigroup, _BINARY_DIGITS, _bit_positions,
+from .core import (Semigroup, _BINARY_DIGITS, _apery_mask, _bit_positions,
                    _extended_mask, _reverse, from_generators)
 from .errors import (
     BadParameters,
@@ -124,6 +124,12 @@ def _require_max_generated(s: Semigroup) -> None:
             % (s.min_generators[-1], s, 2 * s.genus + 1))
 
 
+def _require_symmetric(s: Semigroup) -> None:
+    if not s.is_symmetric():
+        raise NotSymmetric("%r has F+1 = %d but 2g = %d"
+                           % (s, s.frobenius + 1, 2 * s.genus))
+
+
 def reflection_map(s: Semigroup) -> tuple[tuple[int, int], ...]:
     """Pairs (n, 2g+1-n) for the members n of [1, 2g], ascending in n.
 
@@ -149,9 +155,7 @@ def from_symmetric(sp: Semigroup) -> Semigroup:
     Inverse of to_symmetric; the two form a bijection between semigroups
     with a_e = 2g + 1 at genus g and symmetric semigroups at genus g + 1.
     """
-    if not sp.is_symmetric():
-        raise NotSymmetric("%r has F+1 = %d but 2g = %d"
-                           % (sp, sp.frobenius + 1, 2 * sp.genus))
+    _require_symmetric(sp)
     return core._add_gap_member(sp, sp.frobenius)
 
 
@@ -178,6 +182,21 @@ def reflected_gaps(n: int, s: Semigroup) -> tuple[int, ...]:
     return tuple(_bit_positions(_rg_mask(s.members_mask, s.conductor, n)))
 
 
+def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
+    """(cond_i, cond_ii, cond_iii, RG(f) mask, mask of Ap(S) minus {0, f + m}).
+
+    cond_ii compares m + RG(f) with the Apery elements as masks: both sides
+    are sets, and each Apery element sits in its own residue class.
+    """
+    f = s.frobenius
+    m = s.multiplicity
+    ae = s.min_generators[-1]
+    rgf = _rg_mask(s.members_mask, s.conductor, f)
+    ap = _apery_mask(s) & ~1 & ~(1 << (f + m))
+    return (ae == 2 * s.genus + 1, rgf << m == ap,
+            ae == f + m and rgf.bit_count() == m - 2, rgf, ap)
+
+
 def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
     """Evaluate the three descriptions of a_e = 2g + 1 independently.
 
@@ -185,24 +204,15 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
     checks exactly that.
     """
     _require_nontrivial(s)
-    mask = s.members_mask
-    c = s.conductor
-    f = s.frobenius
-    m = s.multiplicity
-    ae = s.min_generators[-1]
-    rgf = _rg_mask(mask, c, f)
-    rgfm = _rg_mask(mask, c, f + m)
-    apery = s.apery_set().entries
-    fm = f + m
-    apery_minus = tuple(sorted(x for x in apery if x != 0 and x != fm))
-    shifted = tuple(L + m for L in _bit_positions(rgf))
+    cond_i, cond_ii, cond_iii, rgf, ap = _reflected_gap_verdicts(s)
+    rgfm = _rg_mask(s.members_mask, s.conductor, s.frobenius + s.multiplicity)
     return ReflectedGapReport(
-        cond_i=ae == 2 * s.genus + 1,
-        cond_ii=shifted == apery_minus,
-        cond_iii=ae == fm and rgf.bit_count() == m - 2,
+        cond_i=cond_i,
+        cond_ii=cond_ii,
+        cond_iii=cond_iii,
         rg_f=tuple(_bit_positions(rgf)),
         rg_f_plus_m=tuple(_bit_positions(rgfm)),
-        apery_minus=apery_minus,
+        apery_minus=tuple(_bit_positions(ap)),
     )
 
 
@@ -247,6 +257,12 @@ def pf_formula_check(s: Semigroup) -> bool:
     return list(s.pseudo_frobenius()) == expected
 
 
+def _wilf_holds(s: Semigroup) -> bool:
+    """Wilf's inequality g e <= (e - 1)(F + 1), for nontrivial S."""
+    e = len(s.min_generators)
+    return s.genus * e <= (e - 1) * (s.frobenius + 1)
+
+
 def wilf_report(s: Semigroup) -> WilfReport:
     """Evaluate g/(F+1) <= (e-1)/e exactly, plus the member-count form."""
     _require_nontrivial(s)
@@ -258,7 +274,7 @@ def wilf_report(s: Semigroup) -> WilfReport:
     return WilfReport(
         e=e, g=g, f=f, m=s.multiplicity,
         lhs=lhs, rhs=rhs, margin=rhs - lhs,
-        holds=g * e <= (e - 1) * (f + 1),
+        holds=_wilf_holds(s),
         count_form_holds=e * (f + 1 - g) >= f + 1,
     )
 
@@ -281,8 +297,16 @@ def maxgen_inequality_chain(s: Semigroup) -> InequalityChain:
         mult_form_holds=(s.multiplicity - 2) * (e - 1) <= (e - 2) * g,
         symmetric_form_holds=(sp.genus - 1) * (ep - 1)
                              >= (sp.multiplicity - 2) * ep,
-        wilf_holds=g * e <= (e - 1) * (s.frobenius + 1),
+        wilf_holds=_wilf_holds(s),
     )
+
+
+def _genus_bound_forms(t: Semigroup) -> tuple[bool, bool]:
+    """(g - 1)(e - 1) >= (m - 2) e, and its count form e + g >= 2m - 1."""
+    e = len(t.min_generators)
+    g = t.genus
+    m = t.multiplicity
+    return (g - 1) * (e - 1) >= (m - 2) * e, e + g >= 2 * m - 1
 
 
 def genus_lower_bound_check(t: Semigroup) -> bool:
@@ -293,8 +317,7 @@ def genus_lower_bound_check(t: Semigroup) -> bool:
     so this returns the verdict without asserting anything.
     """
     _require_nontrivial(t)
-    e = len(t.min_generators)
-    return (t.genus - 1) * (e - 1) >= (t.multiplicity - 2) * e
+    return _genus_bound_forms(t)[0]
 
 
 def is_distinguished(d: "set[int] | tuple[int, ...] | list[int]",

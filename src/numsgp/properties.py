@@ -1,0 +1,338 @@
+"""The property registry: each checked identity, defined once.
+
+Both `numsgp verify` (numsgp.campaign) and `numsgp check` (numsgp.cli) run
+the rows below, so the exhaustive campaign and the single-semigroup check
+give the same verdict.  Property names, in registry order:
+
+  wilf                  g*e <= (e-1)*(F+1) on every semigroup
+  wilf_equality         the m=2 and interval families attain equality
+  apery_reflected_gaps  the three descriptions of a_e = 2g+1 agree
+  frobenius_formula     F = a_e - m when a_e = 2g+1
+  pf_formula            PF = {a_e - a_i : i < e} when a_e = 2g+1
+  type                  t = e - 1 when a_e = 2g+1
+  canonical_gens        canonical-ideal offsets = {F - p : p in PF}, and
+                        also = {a_i - a_1 : i < e} when a_e = 2g+1
+  reflection_bijection  n -> 2g+1-n maps members of [1,2g] onto the gaps
+  correspondence        drop-a_e / adjoin-F round-trips between a_e = 2g+1
+                        semigroups and symmetric ones a genus higher
+  closed_gap_wilf       T = S + {a_e - a_1} drops the genus by one, keeps
+                        e when a_e > 2a_1 (with PF(T) the predicted set),
+                        and satisfies Wilf's inequality
+  sym_generators        symmetric with m >= 3: all generators below F
+  genus_bound           F > m: (g-1)(e-1) >= (m-2)e and e + g >= 2m - 1
+  inequality_chain      a_e = 2g+1, e > 2: the multiplicity form and the
+                        symmetric-partner form agree with the Wilf verdict
+
+A row has a domain (see domains()), an optional applies(s) that narrows
+it, the verdict holds(s), and record(s, ok), the `check` result fields,
+with the provenance string that goes beside them.  Outside its domain a
+property is undefined; inside it but not applicable, it holds vacuously.
+correspondence has one row per side and one for the trivial semigroup,
+whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides and is
+checked from each.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from . import core, maxgen
+from .core import Semigroup, _extended_mask, _pf_mask, _reverse
+
+#: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
+TRIVIAL, ALL, MAXGEN, SYMMETRIC = 1, 2, 4, 8
+#: Every value domains() returns.
+DOMAIN_KEYS = (TRIVIAL, ALL, ALL | MAXGEN, ALL | SYMMETRIC,
+               ALL | MAXGEN | SYMMETRIC)
+
+
+def domains(s: Semigroup) -> int:
+    """The domain flags of s: a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC."""
+    f = s.frobenius
+    if f < 0:
+        return TRIVIAL
+    g2 = 2 * s.genus
+    return (ALL | (MAXGEN if s.min_generators[-1] == g2 + 1 else 0)
+            | (SYMMETRIC if f + 1 == g2 else 0))
+
+
+#: For each domain but TRIVIAL, a function that raises the domain's
+#: PreconditionViolation on a semigroup outside it.
+REQUIRE = {ALL: maxgen._require_nontrivial,
+           MAXGEN: maxgen._require_max_generated,
+           SYMMETRIC: maxgen._require_symmetric}
+
+
+@dataclass
+class Row:
+    """One checked identity on one domain; see the module docstring."""
+
+    name: str
+    domain: int
+    holds: Callable[[Semigroup], bool]
+    record: Callable[[Semigroup, bool], dict] | None = None
+    provenance: str | None = None
+    applies: Callable[[Semigroup], bool] | None = None
+
+
+def _frac(x) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def wilf_fields(s: Semigroup) -> dict:
+    """maxgen.wilf_report(s) as record fields."""
+    r = maxgen.wilf_report(s)
+    return {
+        "e": r.e, "g": r.g, "f": r.f, "m": r.m,
+        "lhs": _frac(r.lhs), "rhs": _frac(r.rhs), "margin": _frac(r.margin),
+        "holds": r.holds, "count_form_holds": r.count_form_holds,
+    }
+
+
+# -- verdicts and applicability ---------------------------------------------
+
+def _equality_family(s):
+    return s.multiplicity == 2 or s.frobenius == s.multiplicity - 1
+
+
+def _wilf_equality(s):
+    e = len(s.min_generators)
+    c = s.conductor
+    return e * (c - s.genus) == c
+
+
+def _apery_reflected_gaps(s):
+    cond_i, cond_ii, cond_iii, _, _ = maxgen._reflected_gap_verdicts(s)
+    return cond_i == cond_ii == cond_iii
+
+
+def _type(s):
+    return s.type_number() == len(s.min_generators) - 1
+
+
+def _canonical_gens(s):
+    gens = s.min_generators
+    _, offs = maxgen._canonical_masks(s)
+    if offs != _reverse(_pf_mask(s), s.conductor):
+        return False
+    if gens[-1] != 2 * s.genus + 1:
+        return True
+    want = 0
+    for a in gens[:-1]:
+        want |= 1 << (a - gens[0])
+    return offs == want
+
+
+def _reflection_bijection(s):
+    top = 2 * s.genus + 1
+    c = s.conductor
+    mask = s.members_mask
+    members = _extended_mask(mask, c, top - c) & ~1
+    return _reverse(members, top + 1) == ((1 << c) - 1) ^ mask
+
+
+def _trivial_partner(s):
+    sp = core._remove_generator(s, 1)
+    return (sp.frobenius == 1 and sp.genus == 1
+            and core._add_gap_member(sp, 1) == s)
+
+
+def _to_symmetric(s):
+    g = s.genus
+    ae = s.min_generators[-1]
+    sp = maxgen.to_symmetric(s)
+    # F(S') + 1 = 2 g(S') is settled before from_symmetric needs it
+    return (sp.frobenius == ae and sp.genus == g + 1
+            and sp.conductor == 2 * g + 2
+            and sp.multiplicity == s.multiplicity
+            and maxgen.from_symmetric(sp) == s)
+
+
+def _from_symmetric(s):
+    g = s.genus
+    sm = maxgen.from_symmetric(s)
+    # not maxgen.to_symmetric: the partner of <2, 3> is the trivial semigroup
+    return (sm.genus == g - 1 and sm.min_generators[-1] == 2 * g - 1
+            and core._remove_generator(sm, s.frobenius) == s)
+
+
+def _closed_gap_wilf(s):
+    gens = s.min_generators
+    a1, ae = gens[0], gens[-1]
+    t = maxgen.close_largest_gap(s)
+    if not (t.genus == s.genus - 1 and t.frobenius < ae - a1):
+        return False
+    if not t.is_trivial and not maxgen._wilf_holds(t):
+        return False
+    return ae <= 2 * a1 or (
+        len(t.min_generators) == len(gens)
+        and t.pseudo_frobenius() == maxgen.distinguished_set_for_closed(s))
+
+
+def _multiplicity_at_least_3(s):
+    return s.multiplicity >= 3
+
+
+def _sym_generators(s):
+    return s.min_generators[-1] < s.frobenius
+
+
+def _frobenius_above_multiplicity(s):
+    return s.frobenius > s.multiplicity
+
+
+def _genus_bound(s):
+    bound, count_form = maxgen._genus_bound_forms(s)
+    return bound and count_form
+
+
+def _embedding_dim_above_2(s):
+    return len(s.min_generators) > 2
+
+
+def _inequality_chain(s):
+    r = maxgen.maxgen_inequality_chain(s)
+    return r.mult_form_holds and r.symmetric_form_holds and r.wilf_holds
+
+
+def correspondence_count_failures(mg: list, sym: list) -> list[int]:
+    """The genera g at which the campaign tallies break the correspondence.
+
+    It pairs the a_e = 2g + 1 semigroups of genus g with the symmetric ones
+    of genus g + 1, so the two counts agree.  The per-node round-trips
+    imply this; it is asserted on the merged tallies as well.
+    """
+    return [g for g in range(len(mg) - 1) if mg[g] != sym[g + 1]]
+
+
+# -- check records ------------------------------------------------------------
+
+def _wilf_equality_record(s, ok):
+    margin = maxgen.wilf_report(s).margin
+    return {"applicable": _equality_family(s), "margin": _frac(margin),
+            "margin_zero": margin == 0}
+
+
+def _apery_reflected_gaps_record(s, ok):
+    r = maxgen.reflected_gap_report(s)
+    return {"cond_i": r.cond_i, "cond_ii": r.cond_ii, "cond_iii": r.cond_iii,
+            "equivalent": ok, "rg_f": list(r.rg_f),
+            "rg_f_plus_m": list(r.rg_f_plus_m),
+            "apery_minus": list(r.apery_minus)}
+
+
+def _frobenius_formula_record(s, ok):
+    return {"frobenius": s.frobenius,
+            "largest_generator": s.min_generators[-1],
+            "multiplicity": s.multiplicity, "holds": ok}
+
+
+def _pf_formula_record(s, ok):
+    ae = s.min_generators[-1]
+    return {"pf": list(s.pseudo_frobenius()),
+            "expected": sorted(ae - a for a in s.min_generators[:-1]),
+            "holds": ok}
+
+
+def _type_record(s, ok):
+    return {"type": s.type_number(),
+            "embedding_dimension": s.embedding_dimension, "holds": ok}
+
+
+def _canonical_gens_record(s, ok):
+    f = s.frobenius
+    return {"offsets": list(maxgen.canonical_ideal(s).offsets),
+            "expected": sorted(f - p for p in s.pseudo_frobenius()),
+            "holds": ok}
+
+
+def _reflection_bijection_record(s, ok):
+    pairs = maxgen.reflection_map(s)
+    return {"pairs": [list(p) for p in pairs],
+            "image": sorted(b for _, b in pairs),
+            "gaps": list(s.gaps()), "holds": ok}
+
+
+def _to_symmetric_record(s, ok):
+    sp = maxgen.to_symmetric(s)
+    return {"direction": "to_symmetric", "partner": list(sp.min_generators),
+            "round_trip": maxgen.from_symmetric(sp) == s, "holds": ok}
+
+
+def _from_symmetric_record(s, ok):
+    sm = maxgen.from_symmetric(s)
+    return {"direction": "from_symmetric", "partner": list(sm.min_generators),
+            "round_trip": core._remove_generator(sm, s.frobenius) == s,
+            "holds": ok}
+
+
+def _closed_gap_wilf_record(s, ok):
+    gens = s.min_generators
+    t = maxgen.close_largest_gap(s)
+    out = {"closed": list(t.min_generators), "genus": t.genus,
+           "wilf": None if t.is_trivial else wilf_fields(t),
+           "distinguished_set": None, "pf_match": None}
+    if gens[-1] > 2 * gens[0]:
+        d = maxgen.distinguished_set_for_closed(s)
+        out["distinguished_set"] = list(d)
+        out["pf_match"] = d == t.pseudo_frobenius()
+    out["holds"] = ok
+    return out
+
+
+def _sym_generators_record(s, ok):
+    return {"applicable": _multiplicity_at_least_3(s),
+            "largest_generator": s.min_generators[-1],
+            "frobenius": s.frobenius, "holds": ok}
+
+
+def _genus_bound_record(s, ok):
+    return {"bound_holds": maxgen.genus_lower_bound_check(s),
+            "count_form_holds": maxgen._genus_bound_forms(s)[1],
+            "asserted": _frobenius_above_multiplicity(s), "holds": ok}
+
+
+def _inequality_chain_record(s, ok):
+    # raises EmbeddingDimTooSmall for e <= 2, where the chain is undefined
+    r = maxgen.maxgen_inequality_chain(s)
+    return {"mult_form_holds": r.mult_form_holds,
+            "symmetric_form_holds": r.symmetric_form_holds,
+            "wilf_holds": r.wilf_holds, "holds": ok}
+
+
+ROWS = (
+    Row("wilf", ALL, maxgen._wilf_holds,
+        lambda s, ok: {**wilf_fields(s), "holds": ok},
+        "numsgp.maxgen.wilf_report"),
+    Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
+        "numsgp.maxgen.wilf_report", applies=_equality_family),
+    Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
+        _apery_reflected_gaps_record, "numsgp.maxgen.reflected_gap_report"),
+    Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
+        _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
+    Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
+        "numsgp.maxgen.pf_formula_check"),
+    Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number"),
+    Row("canonical_gens", ALL, _canonical_gens, _canonical_gens_record,
+        "numsgp.maxgen.canonical_ideal"),
+    Row("reflection_bijection", MAXGEN, _reflection_bijection,
+        _reflection_bijection_record, "numsgp.maxgen.reflection_map"),
+    Row("correspondence", TRIVIAL, _trivial_partner),
+    Row("correspondence", MAXGEN, _to_symmetric, _to_symmetric_record,
+        "numsgp.maxgen.to_symmetric"),
+    Row("correspondence", SYMMETRIC, _from_symmetric, _from_symmetric_record,
+        "numsgp.maxgen.from_symmetric"),
+    Row("closed_gap_wilf", MAXGEN, _closed_gap_wilf, _closed_gap_wilf_record,
+        "numsgp.maxgen.close_largest_gap"),
+    Row("sym_generators", SYMMETRIC, _sym_generators, _sym_generators_record,
+        "numsgp.maxgen", applies=_multiplicity_at_least_3),
+    Row("genus_bound", ALL, _genus_bound, _genus_bound_record,
+        "numsgp.maxgen.genus_lower_bound_check",
+        applies=_frobenius_above_multiplicity),
+    Row("inequality_chain", MAXGEN, _inequality_chain,
+        _inequality_chain_record, "numsgp.maxgen.maxgen_inequality_chain",
+        applies=_embedding_dim_above_2),
+)
+
+PROPERTIES = tuple(dict.fromkeys(row.name for row in ROWS))

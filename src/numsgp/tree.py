@@ -9,10 +9,9 @@ that genus once, keeping only the current frontier in memory.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Semigroup, _naturals, _remove_generator
-from .errors import BoundTooLarge
 
 #: Deepest supported enumeration; a pure depth guard, not a memory limit.
 MAX_GENUS = 45
@@ -38,20 +37,3 @@ def walk(max_genus: int, start: Semigroup | None = None) -> Iterator[Semigroup]:
             for a in s.min_generators:
                 if a > f:
                     push(_remove_generator(s, a))
-
-
-def enumerate_up_to(max_genus: int,
-                    visitor: Callable[[Semigroup], None] | None = None) -> int:
-    """Visit every semigroup of genus <= max_genus once; return the count."""
-    if max_genus > MAX_GENUS:
-        raise BoundTooLarge("genus bound %d exceeds the supported depth %d"
-                            % (max_genus, MAX_GENUS))
-    count = 0
-    if visitor is None:
-        for _ in walk(max_genus):
-            count += 1
-    else:
-        for s in walk(max_genus):
-            visitor(s)
-            count += 1
-    return count

@@ -53,7 +53,7 @@ def test_criterion_1_named_fixtures(capsys):
             assert t.min_generators == (m,) + tuple(
                 x for x in range(m + 2, 2 * m + 2) if x != 2 * m)
             assert t.genus == m
-            assert t.largest_generator == 2 * t.genus + 1
+            assert t.min_generators[-1] == 2 * t.genus + 1
         assert time.perf_counter() - start < 1.0
 
 
@@ -146,10 +146,11 @@ def test_criterion_7_enumeration_counts(capsys, report18):
 def test_criterion_8_performance(capsys):
     with criterion(capsys, 8, "performance"):
         tracemalloc.start()
-        tree.enumerate_up_to(15)
+        walked = sum(1 for _ in tree.walk(15))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 512 * 1024  # streams nodes, never a full list
+        assert walked == sum(GENUS_COUNTS[:16])
         report = campaign.run_campaign(22, "all", jobs=4)
         assert report.wall_time < 60.0
         assert report.property_failures == ()

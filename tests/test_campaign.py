@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from numsgp import campaign
+from numsgp import campaign, cli, maxgen, properties, tree
 from numsgp.errors import BoundTooLarge, UnknownProperty
+from test_cli import CHECK_FIXTURES
 
 # oracle-confirmed per-genus tallies (see subset_oracle.py), g = 0..8
 MAXGEN_COUNTS = [1, 1, 2, 3, 3, 6, 8, 7, 15]
@@ -56,6 +57,19 @@ def test_every_applicable_check_ran(report12):
     # semigroups (which are both) from each side, plus the boundary pair
     # rooted at the trivial semigroup
     assert checked["correspondence"] == 1 + mg_nontrivial + sym_nontrivial
+    # the rows with an applicability test count only the nodes it admits
+    nodes = [s for s in tree.walk(12) if not s.is_trivial]
+    mg = [s for s in nodes if s.min_generators[-1] == 2 * s.genus + 1]
+    sym = [s for s in nodes if s.frobenius + 1 == 2 * s.genus]
+    assert checked["wilf_equality"] == sum(
+        s.multiplicity == 2 or s.frobenius == s.multiplicity - 1
+        for s in nodes)
+    assert checked["genus_bound"] == sum(
+        s.frobenius > s.multiplicity for s in nodes)
+    assert checked["sym_generators"] == sum(
+        s.multiplicity >= 3 for s in sym)
+    assert checked["inequality_chain"] == sum(
+        len(s.min_generators) > 2 for s in mg)
 
 
 def test_single_property_run():
@@ -131,13 +145,14 @@ def _failed(rep, name):
 
 
 def test_broken_rg_mask_is_caught(monkeypatch):
-    real = campaign._rg_mask
+    # the apery_reflected_gaps verdict reads _rg_mask from maxgen
+    real = maxgen._rg_mask
 
     def drop_lowest_bit(mask, conductor, n):
         v = real(mask, conductor, n)
         return v & (v - 1)
 
-    monkeypatch.setattr(campaign, "_rg_mask", drop_lowest_bit)
+    monkeypatch.setattr(maxgen, "_rg_mask", drop_lowest_bit)
     rep = campaign.run_campaign(10, ["apery_reflected_gaps"], jobs=1)
     assert not rep.passed
     witnesses = _failed(rep, "apery_reflected_gaps")
@@ -145,8 +160,10 @@ def test_broken_rg_mask_is_caught(monkeypatch):
 
 
 def test_broken_reverse_is_caught(monkeypatch):
-    real = campaign._reverse
-    monkeypatch.setattr(campaign, "_reverse",
+    # the canonical_gens and reflection_bijection verdicts read _reverse
+    # from the registry module
+    real = properties._reverse
+    monkeypatch.setattr(properties, "_reverse",
                         lambda v, n: real(v, n + 1))
     rep = campaign.run_campaign(
         10, ["canonical_gens", "reflection_bijection"], jobs=1)
@@ -154,3 +171,15 @@ def test_broken_reverse_is_caught(monkeypatch):
     for name in ("canonical_gens", "reflection_bijection"):
         witnesses = _failed(rep, name)
         assert witnesses and all(len(w) >= 2 for w in witnesses)
+
+
+@pytest.mark.parametrize("prop", campaign.PROPERTIES)
+def test_single_definition_reaches_both_commands(prop, monkeypatch, capsys):
+    # a verdict broken in the registry fails the campaign and `check` alike
+    for row in properties.ROWS:
+        if row.name == prop:
+            monkeypatch.setattr(row, "holds", lambda s: False)
+    rep = campaign.run_campaign(8, [prop], jobs=1)
+    assert _failed(rep, prop)
+    assert cli.main(["check", prop, CHECK_FIXTURES[prop]]) == 1
+    capsys.readouterr()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from numsgp import cli
+from numsgp import campaign, cli, tree
+from numsgp.errors import (EmbeddingDimTooSmall, IsTrivial, NotMaxGenerated,
+                           NotSymmetric, PreconditionViolation)
 
 
 def run(capsys, *argv):
@@ -88,18 +90,19 @@ def test_error_message_names_precondition(capsys):
     assert "NotMaxGenerated" in err
 
 
+#: One semigroup per property on which `check` evaluates and passes.
+CHECK_FIXTURES = {
+    "wilf": "3,5,7", "wilf_equality": "2,7",
+    "apery_reflected_gaps": "7,11,16,17,19", "frobenius_formula": "3,5,7",
+    "pf_formula": "4,6,7,9", "type": "2,3", "canonical_gens": "3,4",
+    "reflection_bijection": "3,5,7", "correspondence": "3,5",
+    "closed_gap_wilf": "4,6,7,9", "sym_generators": "3,4",
+    "genus_bound": "3,5", "inequality_chain": "3,5,7",
+}
+
+
 def test_check_passing_properties(capsys):
-    for prop, gens in [("wilf", "3,5,7"), ("wilf_equality", "2,7"),
-                       ("apery_reflected_gaps", "7,11,16,17,19"),
-                       ("frobenius_formula", "3,5,7"),
-                       ("pf_formula", "4,6,7,9"), ("type", "2,3"),
-                       ("canonical_gens", "3,4"),
-                       ("reflection_bijection", "3,5,7"),
-                       ("correspondence", "3,5"),
-                       ("closed_gap_wilf", "4,6,7,9"),
-                       ("sym_generators", "3,4"),
-                       ("genus_bound", "3,5"),
-                       ("inequality_chain", "3,5,7")]:
+    for prop, gens in CHECK_FIXTURES.items():
         code, rec = run_json(capsys, "check", prop, gens)
         assert code == 0, (prop, gens, rec)
         assert rec["command"] == "check:%s" % prop
@@ -286,3 +289,47 @@ def test_conductor_cap_env_invalid(capsys, monkeypatch):
         assert out == ""
         assert "NUMSGP_MAX_CONDUCTOR" in err
         assert err.count("\n") == 1
+
+
+_MAXGEN_ONLY = {"frobenius_formula", "pf_formula", "type",
+                "reflection_bijection", "closed_gap_wilf", "inequality_chain"}
+
+
+def _precondition(prop, s):
+    """The exception `check prop` raises on s, or None where it evaluates."""
+    if s.is_trivial:
+        return IsTrivial
+    mg = s.min_generators[-1] == 2 * s.genus + 1
+    sym = s.frobenius + 1 == 2 * s.genus
+    if prop in _MAXGEN_ONLY and not mg:
+        return NotMaxGenerated
+    if prop == "inequality_chain" and len(s.min_generators) <= 2:
+        return EmbeddingDimTooSmall
+    if prop == "sym_generators" and not sym:
+        return NotSymmetric
+    if prop == "correspondence" and not (mg or sym):
+        return NotSymmetric
+    return None
+
+
+def test_check_domain_sweep():
+    # every property on every semigroup of genus <= 9: inside the domain the
+    # check passes, outside it raises that domain's precondition violation
+    nodes = list(tree.walk(9))
+    assert len(nodes) == 274
+    for s in nodes:
+        gens = list(s.min_generators)
+        for prop in campaign.PROPERTIES:
+            want = _precondition(prop, s)
+            if want is None:
+                code, rec = cli.cmd_check(prop, gens)
+                assert code == 0, (prop, gens, rec)
+                if prop == "correspondence":
+                    # <2, 2g+1> is on both sides; it reports the first
+                    mg = s.min_generators[-1] == 2 * s.genus + 1
+                    assert rec["result"]["direction"] == (
+                        "to_symmetric" if mg else "from_symmetric")
+                continue
+            with pytest.raises(PreconditionViolation) as info:
+                cli.cmd_check(prop, gens)
+            assert type(info.value) is want, (prop, gens)

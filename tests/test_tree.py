@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import subset_oracle as oracle
-from numsgp import tree
+from numsgp import campaign, tree
 from numsgp.core import _remove_generator, from_generators
 from numsgp.errors import BoundTooLarge
 
@@ -56,34 +56,36 @@ def test_children_genus_and_removables():
 
 def test_counts_by_genus():
     counts = [0] * 16
-    total = tree.enumerate_up_to(
-        15, lambda s: counts.__setitem__(s.genus, counts[s.genus] + 1))
+    total = 0
+    for s in tree.walk(15):
+        counts[s.genus] += 1
+        total += 1
     assert counts == COUNTS
     assert total == sum(COUNTS)
 
 
 def test_count_zero_and_one():
-    assert tree.enumerate_up_to(0) == 1
-    assert tree.enumerate_up_to(1) == 2
+    assert sum(1 for _ in tree.walk(0)) == 1
+    assert sum(1 for _ in tree.walk(1)) == 2
 
 
 def test_bound_too_large():
+    # the depth guard sits in front of the walk, in run_campaign
     with pytest.raises(BoundTooLarge):
-        tree.enumerate_up_to(tree.MAX_GENUS + 1)
+        campaign.run_campaign(tree.MAX_GENUS + 1)
+    assert campaign.run_campaign(0).total == 1
 
 
 def test_no_duplicates():
-    seen = set()
-    total = tree.enumerate_up_to(9, lambda s: seen.add(s.min_generators))
-    assert len(seen) == total
+    walked = [s.min_generators for s in tree.walk(9)]
+    assert len(set(walked)) == len(walked) == sum(COUNTS[:10])
 
 
 def test_matches_subset_oracle_bag():
     # bag equality on canonical generator lists, genus by genus
     by_genus = {}
-    tree.enumerate_up_to(
-        8, lambda s: by_genus.setdefault(s.genus, []).append(
-            tuple(s.min_generators)))
+    for s in tree.walk(8):
+        by_genus.setdefault(s.genus, []).append(tuple(s.min_generators))
     for g in range(9):
         expected = sorted(tuple(oracle.semigroup_from_gaps(gs))
                           for gs in oracle.gap_sets_of_genus(g))
@@ -108,7 +110,7 @@ def test_traversal_memory_stays_bounded():
     # of them would need
     tracemalloc.start()
     tracemalloc.reset_peak()
-    total = tree.enumerate_up_to(15)
+    total = sum(1 for _ in tree.walk(15))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert total == sum(COUNTS)
