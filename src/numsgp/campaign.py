@@ -15,6 +15,7 @@ are the rows of :mod:`numsgp.properties`.
 from __future__ import annotations
 
 import json
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -149,8 +150,9 @@ def resolve_properties(properties) -> tuple[str, ...]:
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
     """Check the selected properties on every semigroup of genus <= max_genus.
 
-    jobs > 1 distributes frontier subtrees over a process pool; the report
-    (wall time aside) does not depend on the worker count.
+    jobs > 1 distributes frontier subtrees over a process pool of at most
+    one worker per subtree; the report (wall time aside) does not depend on
+    the worker count.
     """
     if max_genus < 0:
         raise ValueError("max_genus must be nonnegative")
@@ -177,11 +179,14 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
             roots.append(s)
         else:
             _visit(s, plan, counts, mg, sym, checked, failures)
-    if jobs == 1:
+    workers = min(jobs, len(roots))
+    if workers == 1:
         results = (_subtree(s, max_genus, plan) for s in roots)
     else:
         payloads = [(s, max_genus, names) for s in roots]
-        with Pool(jobs) as pool:
+        # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool
+        with Pool(workers, signal.signal,
+                  (signal.SIGINT, signal.SIG_IGN)) as pool:
             results = pool.map(_subtree_task, payloads, chunksize=1)
     for tc, tmg, tsym, tch, tfail in results:
         for i in range(n):

@@ -5,7 +5,7 @@ on one semigroup), construct (the derived-semigroup constructions), verify
 (exhaustive campaigns over the genus tree).  Records go to stdout as JSON
 lines by default; --format switches to table or csv, see FORMATS.md.  Exit
 codes: 0 pass, 1 property failure, 2 usage error, 3 invalid semigroup,
-4 precondition violation.
+4 precondition violation, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -325,6 +325,9 @@ def main(argv=None) -> int:
     except PreconditionViolation as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

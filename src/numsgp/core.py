@@ -15,6 +15,16 @@ built.  The invariant scans (gaps, sporadic elements, Apery set,
 pseudo-Frobenius numbers) work on whole masks and extract bit positions in
 one linear pass, so a query costs O(e * a_1 + c).
 
+The genus tree has two steps, each computed by its generator rule
+(Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
+Hivert, Math. Comp. 2016):
+
+- child, S minus a minimal generator a > F (_remove_generator): the
+  generators are G minus {a}, plus a + m, plus a + m' when a = m, each of
+  the two kept only if it is not a sum of two positive members of the child;
+- parent, S union {F} (_add_frobenius): the generators are {F} union G
+  minus {F + m, 2F}; the genus drops by one and m becomes min(m, F).
+
 Invariants follow the usual notation: gaps(S) is the complement, g = #gaps
 the genus, F the largest gap (Frobenius number), m the least positive element
 (multiplicity), e the embedding dimension.  The trivial semigroup of all
@@ -258,58 +268,6 @@ def _naturals() -> Semigroup:
     return Semigroup((1,), 0, 0, 0, -1, 1)
 
 
-def _min_generators_from_mask(mask: int, conductor: int, mult: int) -> tuple[int, ...]:
-    """Minimal generators of the semigroup given by (mask, conductor).
-
-    Minimal generators are the positive elements that are not a sum of two
-    positive elements; all of them are <= F + m, so it is enough to look at
-    the window [1, conductor + mult).
-    """
-    if conductor == 0:
-        return (1,)
-    bound = conductor + mult
-    ext = _extended_mask(mask, conductor, mult)
-    pos = ext & ~1
-    half = bound // 2
-    acc = 0
-    v = pos
-    while v:
-        low = v & -v
-        u = low.bit_length() - 1
-        if u > half:
-            break
-        acc |= pos << u
-        v ^= low
-    gens = []
-    v = pos & ~acc
-    while v:
-        low = v & -v
-        gens.append(low.bit_length() - 1)
-        v ^= low
-    return tuple(gens)
-
-
-def _from_mask(mask: int, known_bound: int) -> Semigroup:
-    """Canonical Semigroup from a membership mask valid on [0, known_bound).
-
-    Caller promises every n >= known_bound is a member.
-    """
-    missing = ((1 << known_bound) - 1) & ~mask
-    if missing == 0:
-        return _naturals()
-    frobenius = missing.bit_length() - 1
-    conductor = frobenius + 1
-    mask &= (1 << conductor) - 1
-    genus = conductor - mask.bit_count()
-    positives = mask & ~1
-    if positives:
-        mult = (positives & -positives).bit_length() - 1
-    else:
-        mult = conductor
-    gens = _min_generators_from_mask(mask, conductor, mult)
-    return Semigroup(gens, conductor, mask, genus, frobenius, mult)
-
-
 def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
     """Apery set of <gens> with respect to gens[0], and the minimal generators.
 
@@ -448,47 +406,46 @@ def from_generators(values: Iterable[int]) -> Semigroup:
 
 
 def _remove_generator(s: Semigroup, a: int) -> Semigroup:
-    """S without one minimal generator a, for a > F(S).
+    """S without one minimal generator a, for a > F(S): the child step.
 
-    Removing such a generator keeps additive closure and raises the genus by
-    one; this is the child step of the genus tree.  New minimal generators
-    can only appear in (a, a + m'], m' the child's multiplicity.
+    The genus goes up by one and F becomes a.  The other minimal generators
+    stay minimal.  A new one is a + v for a positive member v of S, and it
+    is at most F' + m' = a + m', so v = m, or v = m' when a = m.  Each
+    candidate t is tested against the child's positive members below it,
+    mirrored about t.
     """
     conductor = a + 1
     child_mask = _extended_mask(s.members_mask, s.conductor,
                                 conductor - s.conductor) ^ (1 << a)
     mult = s.multiplicity
+    candidates = [a + mult]
     if a == mult:
         positives = child_mask & ~1
         mult = ((positives & -positives).bit_length() - 1
                 if positives else conductor)
-    bound = conductor + mult
-    ext = _extended_mask(child_mask, conductor, mult)
-    pos = ext & ~1
-    half = bound // 2
-    acc = 0
-    v = pos
-    while v:
-        low = v & -v
-        u = low.bit_length() - 1
-        if u > half:
-            break
-        acc |= pos << u
-        v ^= low
-    fresh = [t for t in range(a + 1, bound) if not (acc >> t) & 1]
+        candidates.append(a + mult)
     gens = [x for x in s.min_generators if x != a]
-    for t in fresh:
-        if t not in gens:
+    for t in candidates:
+        pos = _extended_mask(child_mask, conductor, t - conductor) & ~1
+        if not pos & _reverse(pos, t + 1):
             gens.append(t)
     gens.sort()
     return Semigroup(tuple(gens), conductor, child_mask, s.genus + 1, a, mult)
 
 
-def _add_gap_member(s: Semigroup, x: int) -> Semigroup:
-    """The closure S union {x} for a gap x with x + S subset of S union {x}.
+def _add_frobenius(s: Semigroup) -> Semigroup:
+    """S union {F} for a nontrivial S: the parent step, inverse of the child
+    step.
 
-    Only valid when the union is itself a semigroup (x = F, or more generally
-    x a pseudo-Frobenius number); callers guarantee that.
+    F becomes a minimal generator.  A minimal generator b of S stays minimal
+    unless b = 2F or b = F + v for a positive member v of S; as b <= F + m,
+    that means b = 2F or b = F + m.
     """
-    mask = s.members_mask | (1 << x)
-    return _from_mask(mask, s.conductor)
+    f = s.frobenius
+    m = s.multiplicity
+    gens = sorted([f] + [b for b in s.min_generators
+                         if b != f + m and b != 2 * f])
+    conductor = (((1 << f) - 1) & ~s.members_mask).bit_length()
+    return Semigroup(tuple(gens), conductor,
+                     s.members_mask & ((1 << conductor) - 1),
+                     s.genus - 1, conductor - 1, min(m, f))

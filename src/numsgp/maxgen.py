@@ -156,7 +156,7 @@ def from_symmetric(sp: Semigroup) -> Semigroup:
     with a_e = 2g + 1 at genus g and symmetric semigroups at genus g + 1.
     """
     _require_symmetric(sp)
-    return core._add_gap_member(sp, sp.frobenius)
+    return core._add_frobenius(sp)
 
 
 def frobenius_formula_check(s: Semigroup) -> bool:
@@ -352,8 +352,8 @@ def close_largest_gap(s: Semigroup) -> Semigroup:
     the interval one multiplicity down.
     """
     _require_max_generated(s)
-    x = s.min_generators[-1] - s.min_generators[0]
-    return core._add_gap_member(s, x)
+    # a_e - a_1 = F on every max-generated semigroup
+    return core._add_frobenius(s)
 
 
 def distinguished_set_for_closed(s: Semigroup) -> tuple[int, ...]:

@@ -135,7 +135,7 @@ def _reflection_bijection(s):
 def _trivial_partner(s):
     sp = core._remove_generator(s, 1)
     return (sp.frobenius == 1 and sp.genus == 1
-            and core._add_gap_member(sp, 1) == s)
+            and core._add_frobenius(sp) == s)
 
 
 def _to_symmetric(s):

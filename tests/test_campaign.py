@@ -123,6 +123,34 @@ def test_parallel_small_bounds():
     assert rep.passed
 
 
+def test_pool_no_larger_than_work(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records its size and runs the work units in this process."""
+
+        def __init__(self, n, initializer, initargs):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(campaign, "Pool", FakePool)
+    for max_genus, jobs, want in ((0, 8, []), (1, 64, []), (2, 64, [2]),
+                                  (3, 64, [4]), (11, 3, [3])):
+        sizes.clear()
+        rep = campaign.run_campaign(max_genus, "all", jobs)
+        assert sizes == want, (max_genus, jobs)
+        assert rep.to_json(include_wall_time=False) == campaign.run_campaign(
+            max_genus, "all", 1).to_json(include_wall_time=False)
+
+
 def test_report_json_shape(report12):
     d = report12.to_json_dict()
     assert d["max_genus"] == 12

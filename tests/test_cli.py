@@ -281,6 +281,20 @@ def test_verify_out_kept_on_failed_run(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_verify_interrupted(tmp_path, capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(campaign, "run_campaign", interrupted)
+    code, out, err = run(capsys, "verify", "--max-genus", "5")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--max-genus", "5",
+                         "--out", str(path))
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert not path.exists()
+
+
 def test_conductor_cap_env_invalid(capsys, monkeypatch):
     for raw in ("abc", "0", "-7"):
         monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", raw)

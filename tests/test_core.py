@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
+from numsgp import tree
 from numsgp.core import (
     AperyTable,
     Semigroup,
+    _add_frobenius,
     _remove_generator,
     _reverse,
     conductor_cap,
@@ -205,6 +207,66 @@ def test_remove_generator_children():
     kids = sorted(_remove_generator(s, a).min_generators
                   for a in s.min_generators)
     assert kids == [(3, 4), (3, 5, 7), (4, 5, 6, 7)]
+
+
+def _fields(s):
+    return (s.min_generators, s.conductor, s.members_mask, s.genus,
+            s.frobenius, s.multiplicity)
+
+
+def _child_reference(s, a):
+    # the child's minimal generators lie among these (Rosales &
+    # Garcia-Sanchez, Numerical Semigroups, 2009)
+    gens = set(s.min_generators) - {a}
+    gens.update(a + b for b in s.min_generators)
+    gens.update((2 * a, 3 * a))
+    return from_generators(gens)
+
+
+def _parent_reference(s):
+    return from_generators(s.min_generators + (s.frobenius,))
+
+
+def test_tree_steps_match_from_generators():
+    steps = 0
+    for s in tree.walk(12):
+        for a in s.min_generators:
+            if a > s.frobenius:
+                assert _fields(_remove_generator(s, a)) == \
+                    _fields(_child_reference(s, a)), (s, a)
+                steps += 1
+        if not s.is_trivial:
+            assert _fields(_add_frobenius(s)) == \
+                _fields(_parent_reference(s)), s
+            steps += 1
+    assert steps > 3000
+
+
+def test_tree_step_edges():
+    one = from_generators([1])
+    assert _fields(_remove_generator(one, 1)) == \
+        _fields(from_generators([2, 3]))
+    assert _fields(_add_frobenius(from_generators([2, 3]))) == _fields(one)
+    # a = m on the ordinary semigroup: both candidates 2m and m + m'
+    for m in range(2, 9):
+        s = from_generators(range(m, 2 * m))
+        assert _fields(_remove_generator(s, m)) == \
+            _fields(_child_reference(s, m))
+    # F < m: the multiplicity drops to F, and S union {F} loses F + m and 2F
+    s = from_generators([3, 4, 5])
+    assert _fields(_add_frobenius(s)) == _fields(from_generators([2, 3]))
+
+
+def test_tree_steps_round_trip_large():
+    sym = from_generators([701, 1100, 1350])
+    mg = _add_frobenius(sym)
+    assert _fields(mg) == _fields(_parent_reference(sym))
+    assert _fields(_remove_generator(mg, sym.frobenius)) == _fields(sym)
+    mg = _add_frobenius(from_generators([151, 200]))
+    ae = mg.min_generators[-1]
+    sym = _remove_generator(mg, ae)
+    assert _fields(sym) == _fields(_child_reference(mg, ae))
+    assert _fields(_add_frobenius(sym)) == _fields(mg)
 
 
 def test_against_live_oracle_closure():
