@@ -1,12 +1,13 @@
 """Exhaustive verification campaigns over the genus tree.
 
 A campaign walks every numerical semigroup up to a genus bound and runs a
-selection of named checks on each node.  Checks are pure and per-node, so
-subtrees are independent work units: the walk is split at a fixed frontier
-genus and the subtrees are handed to a process pool, with results merged by
-plain addition.  The merged report is byte-identical for any worker count,
-and failures carry the minimal generator list of the offending semigroup as
-a witness.
+selection of named checks on each node.  It is one fold: _tally counts
+any iterable of semigroups by genus and runs the checks on each.  The walk
+is split at a fixed frontier genus; the nodes below it make one part, and
+each frontier subtree makes another, tallied in this process or by a
+process pool with the same function.  The parts are summed column-wise
+once, so the report is byte-identical for any worker count, and failures
+carry the minimal generator list of the offending semigroup as a witness.
 
 The checks themselves, and the names accepted by run_campaign and the CLI,
 are the rows of :mod:`numsgp.properties`.
@@ -18,6 +19,7 @@ import json
 import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
 from . import tree
@@ -25,8 +27,6 @@ from .core import Semigroup
 from .errors import BoundTooLarge, UnknownProperty
 from .properties import (DOMAIN_KEYS, MAXGEN, PROPERTIES, ROWS, SYMMETRIC,
                          TRIVIAL, correspondence_count_failures, domains)
-
-_INDEX = {name: i for i, name in enumerate(PROPERTIES)}
 
 #: Subtrees rooted at this genus become independent work units.
 SPLIT_GENUS = 11
@@ -78,55 +78,50 @@ class CampaignReport:
         return json.dumps(self.to_json_dict(include_wall_time), indent=2)
 
 
-def _plan(names: tuple[str, ...]) -> dict:
-    """For each value of domains(), the (index, applies, holds) of the rows
-    of the selected properties whose domain contains it."""
-    rows = [(_INDEX[r.name], r.domain, r.applies, r.holds)
-            for r in ROWS if r.name in names]
-    return {key: tuple((i, applies, holds)
-                       for i, domain, applies, holds in rows if domain & key)
-            for key in DOMAIN_KEYS}
+def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
+    """Tally an iterable of semigroups of genus <= max_genus and run the
+    checks of names that apply to each.
 
-
-def _visit(s: Semigroup, plan: dict, counts: list, mg: list, sym: list,
-           checked: list, failures: list) -> None:
-    """Tally one semigroup and run the selected checks that apply to it.
-
+    Returns (counts, mg, sym, checked, failures): the per-genus counts of
+    all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
+    nodes each of names applied to; and (position in names, witness) pairs.
     The trivial semigroup is tallied as both a_e = 2g + 1 (1 = 2*0 + 1) and
     symmetric (F + 1 = 0 = 2g).
     """
-    key = domains(s)
-    g = s.genus
-    counts[g] += 1
-    if key & (TRIVIAL | MAXGEN):
-        mg[g] += 1
-    if key & (TRIVIAL | SYMMETRIC):
-        sym[g] += 1
-    for i, applies, holds in plan[key]:
-        if applies is None or applies(s):
-            checked[i] += 1
-            if not holds(s):
-                failures.append((i, s.min_generators))
-
-
-def _subtree(start: Semigroup, max_genus: int, plan: dict) -> tuple:
+    index = {name: i for i, name in enumerate(names)}
+    rows = [(index[r.name], r.domain, r.applies, r.holds)
+            for r in ROWS if r.name in index]
+    plan = {key: tuple((i, applies, holds)
+                       for i, domain, applies, holds in rows if domain & key)
+            for key in DOMAIN_KEYS}
     n = max_genus + 1
     counts = [0] * n
     mg = [0] * n
     sym = [0] * n
-    checked = [0] * len(PROPERTIES)
+    checked = [0] * len(names)
     failures: list = []
-    for s in tree.walk(max_genus, start):
-        _visit(s, plan, counts, mg, sym, checked, failures)
+    for s in nodes:
+        key = domains(s)
+        g = s.genus
+        counts[g] += 1
+        if key & (TRIVIAL | MAXGEN):
+            mg[g] += 1
+        if key & (TRIVIAL | SYMMETRIC):
+            sym[g] += 1
+        for i, applies, holds in plan[key]:
+            if applies is None or applies(s):
+                checked[i] += 1
+                if not holds(s):
+                    failures.append((i, s.min_generators))
     return counts, mg, sym, checked, failures
 
 
-def _subtree_task(args: tuple) -> tuple:
-    """Pool entry point.  Workers get the property names, not the plan:
-    pickling the plan's functions for every work unit costs more than
-    building the plan again."""
-    start, max_genus, names = args
-    return _subtree(start, max_genus, _plan(names))
+def _subtree(max_genus: int, names: tuple[str, ...],
+             start: Semigroup) -> tuple:
+    """The tally of the subtree rooted at start.  Pool workers get the
+    property names, not the plan: pickling the plan's functions for every
+    work unit costs more than building the plan again."""
+    return _tally(tree.walk(max_genus, start), max_genus, names)
 
 
 def resolve_properties(properties) -> tuple[str, ...]:
@@ -139,7 +134,7 @@ def resolve_properties(properties) -> tuple[str, ...]:
     for name in properties:
         if name == "all":
             return PROPERTIES
-        if name not in _INDEX:
+        if name not in PROPERTIES:
             raise UnknownProperty(
                 "unknown property %r; known: %s"
                 % (name, ", ".join(PROPERTIES)))
@@ -162,55 +157,38 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     names = resolve_properties(properties)
-    plan = _plan(names)
 
     t0 = time.perf_counter()
-    n = max_genus + 1
-    counts = [0] * n
-    mg = [0] * n
-    sym = [0] * n
-    checked = [0] * len(PROPERTIES)
-    failures: list = []
-
     split = min(max_genus, SPLIT_GENUS)
-    roots = []
-    for s in tree.walk(split):
-        if s.genus == split:
-            roots.append(s)
-        else:
-            _visit(s, plan, counts, mg, sym, checked, failures)
+    top = list(tree.walk(split))
+    roots = [s for s in top if s.genus == split]
+    parts = [_tally((s for s in top if s.genus < split), max_genus, names)]
+    task = partial(_subtree, max_genus, names)
     workers = min(jobs, len(roots))
     if workers == 1:
-        results = (_subtree(s, max_genus, plan) for s in roots)
+        parts.extend(map(task, roots))
     else:
-        payloads = [(s, max_genus, names) for s in roots]
         # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool
         with Pool(workers, signal.signal,
                   (signal.SIGINT, signal.SIG_IGN)) as pool:
-            results = pool.map(_subtree_task, payloads, chunksize=1)
-    for tc, tmg, tsym, tch, tfail in results:
-        for i in range(n):
-            counts[i] += tc[i]
-            mg[i] += tmg[i]
-            sym[i] += tsym[i]
-        for i in range(len(PROPERTIES)):
-            checked[i] += tch[i]
-        failures.extend(tfail)
+            parts.extend(pool.map(task, roots, chunksize=1))
+    columns = list(zip(*parts))
+    counts, mg, sym, checked = ([sum(c) for c in zip(*column)]
+                                for column in columns[:4])
+    failures = [f for part in columns[4] for f in part]
 
     if "correspondence" in names:
-        failures.extend((_INDEX["correspondence"], (g,))
+        failures.extend((names.index("correspondence"), (g,))
                         for g in correspondence_count_failures(mg, sym))
 
-    failures = sorted((PROPERTIES[i], tuple(w)) for i, w in failures)
+    failures = sorted((names[i], tuple(w)) for i, w in failures)
     return CampaignReport(
         max_genus=max_genus,
         properties=names,
         counts_by_genus=tuple(counts),
         maxgen_counts_by_genus=tuple(mg),
         symmetric_counts_by_genus=tuple(sym),
-        checked=tuple((PROPERTIES[i], checked[i])
-                      for i in range(len(PROPERTIES))
-                      if PROPERTIES[i] in names),
+        checked=tuple(zip(names, checked)),
         property_failures=tuple(failures),
         wall_time=time.perf_counter() - t0,
     )

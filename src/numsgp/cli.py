@@ -5,7 +5,7 @@ on one semigroup), construct (the derived-semigroup constructions), verify
 (exhaustive campaigns over the genus tree).  Records go to stdout as JSON
 lines by default; --format switches to table or csv, see FORMATS.md.  Exit
 codes: 0 pass, 1 property failure, 2 usage error, 3 invalid semigroup,
-4 precondition violation, 130 interrupted.
+4 precondition violation, 5 internal error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -313,21 +313,20 @@ def main(argv=None) -> int:
             return cmd_verify(args.max_genus, props or "all", args.jobs,
                               args.out, vfmt)
         raise ParseFailure("no subcommand")
-    except (ParseFailure, ValueError) as exc:
+    except (ParseFailure, ValueError, CampaignConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except CampaignConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InvalidSemigroupInput as exc:
+    except (InvalidSemigroupInput, PreconditionViolation) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
-    except PreconditionViolation as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, InvalidSemigroupInput) else 4
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 would read as "property does not hold"
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

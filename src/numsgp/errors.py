@@ -46,10 +46,6 @@ class EmbeddingDimTooSmall(PreconditionViolation):
     """The operation needs embedding dimension at least 3."""
 
 
-class NotAGapSet(PreconditionViolation):
-    """The candidate set contains a member of the semigroup."""
-
-
 class GapTooSmall(PreconditionViolation):
     pass
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .core import (Semigroup, _BINARY_DIGITS, _apery_mask, _bit_positions,
-                   _extended_mask, _reverse, from_generators)
+from .core import (Semigroup, _apery_mask, _bit_positions, _extended_mask,
+                   _reverse, from_generators)
 from .errors import (
     BadParameters,
     EmbeddingDimTooSmall,
     GapTooSmall,
     IsTrivial,
-    NotAGapSet,
     NotMaxGenerated,
     NotSymmetric,
 )
@@ -35,20 +34,18 @@ class ShiftIdeal:
     """An ideal of a semigroup, normalized to minimal element 0.
 
     The ideal is the union of offset + base over the minimal offsets; every
-    integer above F(base) belongs to it.  members_below_bound[z] answers
-    z in ideal for z in [0, F(base)+1].
+    integer above F(base) belongs to it.  Bit z of mask answers z in ideal
+    for z in [0, F(base)].
     """
 
     base: Semigroup
     offsets: tuple[int, ...]
-    members_below_bound: tuple[bool, ...]
+    mask: int
 
     def __contains__(self, z: int) -> bool:
         if z < 0:
             return False
-        if z >= len(self.members_below_bound):
-            return True
-        return self.members_below_bound[z]
+        return z >= self.base.conductor or bool(self.mask >> z & 1)
 
 
 @dataclass(frozen=True)
@@ -175,13 +172,6 @@ def _rg_mask(mask: int, conductor: int, n: int) -> int:
     return gaps & _reverse(gaps, n + 1)
 
 
-def reflected_gaps(n: int, s: Semigroup) -> tuple[int, ...]:
-    """RG(n, S) = {L in [1, n-1] : L not in S and n - L not in S}, sorted."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return tuple(_bit_positions(_rg_mask(s.members_mask, s.conductor, n)))
-
-
 def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
     """(cond_i, cond_ii, cond_iii, RG(f) mask, mask of Ap(S) minus {0, f + m}).
 
@@ -243,10 +233,7 @@ def canonical_ideal(s: Semigroup) -> ShiftIdeal:
     """
     _require_nontrivial(s)
     k, offs = _canonical_masks(s)
-    digits = bin(k)[:1:-1].ljust(s.conductor, "0").encode()
-    table = tuple(map(bool, digits.translate(_BINARY_DIGITS))) + (True,)
-    return ShiftIdeal(base=s, offsets=tuple(_bit_positions(offs)),
-                      members_below_bound=table)
+    return ShiftIdeal(base=s, offsets=tuple(_bit_positions(offs)), mask=k)
 
 
 def pf_formula_check(s: Semigroup) -> bool:
@@ -318,29 +305,6 @@ def genus_lower_bound_check(t: Semigroup) -> bool:
     """
     _require_nontrivial(t)
     return _genus_bound_forms(t)[0]
-
-
-def is_distinguished(d: "set[int] | tuple[int, ...] | list[int]",
-                     s: Semigroup) -> bool:
-    """True iff every gap a of S has some member u of S with a + u in D.
-
-    A distinguished set D necessarily contains PF(S), and its size d bounds
-    the Wilf quotient by d/(d+1); u = 0 is allowed, so every element of D
-    covers itself.
-    """
-    dset = sorted(set(d))
-    gaps = s.gaps()
-    gapset = frozenset(gaps)
-    bad = [x for x in dset if x not in gapset]
-    if bad:
-        raise NotAGapSet("not gaps of %r: %s" % (s, bad))
-    for a in gaps:
-        for x in dset:
-            if x >= a and (x - a) in s:
-                break
-        else:
-            return False
-    return True
 
 
 def close_largest_gap(s: Semigroup) -> Semigroup:

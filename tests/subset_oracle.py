@@ -106,6 +106,20 @@ def reflected_gaps(gens, n):
     return sorted(l for l in range(1, n) if l in gset and (n - l) in gset)
 
 
+def is_distinguished(d, gens):
+    """True iff every gap a has a member u (0 allowed) with a + u in D.
+
+    D must be a set of gaps; anything else raises ValueError.
+    """
+    inv = invariants(gens)
+    gset = set(inv["gaps"])
+    mem = inv["members"]
+    d = set(d)
+    if not d <= gset:
+        raise ValueError("not gaps: %s" % sorted(d - gset))
+    return all(any(x - a in mem for x in d if x >= a) for a in gset)
+
+
 def canonical_offsets(gens):
     """Minimal offsets of the ideal K = {z : F - z not in S}.
 

@@ -14,7 +14,7 @@ import pytest
 
 import subset_oracle as oracle
 from numsgp import campaign, maxgen, tree
-from numsgp.core import from_generators
+from numsgp.core import _bit_positions, from_generators
 
 GENUS_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001,
                 1693, 2857, 4806, 8045, 13467, 22464, 37396, 62194, 103246]
@@ -47,7 +47,8 @@ def test_criterion_1_named_fixtures(capsys):
         start = time.perf_counter()
         s = from_generators([7, 11, 16, 17, 19])
         assert s.genus == 13
-        assert maxgen.reflected_gaps(s.frobenius, s) == (5, 8, 10, 12, 15)
+        rg = maxgen._rg_mask(s.members_mask, s.conductor, s.frobenius)
+        assert _bit_positions(rg) == [5, 8, 10, 12, 15]
         for m in range(3, 11):
             t = maxgen.notiz_family(m, m + 1)
             assert t.min_generators == (m,) + tuple(
@@ -127,7 +128,7 @@ def test_criterion_6_gap_closure(capsys, report18):
             assert t.embedding_dimension == s.embedding_dimension
             d = maxgen.distinguished_set_for_closed(s)
             assert d == tuple(sorted(t.pseudo_frobenius()))
-            assert maxgen.is_distinguished(d, t)
+            assert oracle.is_distinguished(d, t.min_generators)
             seen += 1
         assert seen > 100
 

@@ -201,6 +201,21 @@ def test_broken_reverse_is_caught(monkeypatch):
         assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 
+def test_subset_failures_filed_by_name(monkeypatch):
+    # with a proper subset selected, witnesses and checked counts land under
+    # the name of the property they belong to
+    alone = {p: dict(campaign.run_campaign(10, [p], jobs=1).checked)[p]
+             for p in ("wilf", "type")}
+    for row in properties.ROWS:
+        if row.name == "type":
+            monkeypatch.setattr(row, "holds", lambda s: False)
+    rep = campaign.run_campaign(10, ["wilf", "type"], jobs=1)
+    assert rep.properties == ("wilf", "type")
+    assert {p for p, _ in rep.property_failures} == {"type"}
+    assert len(_failed(rep, "type")) == alone["type"]
+    assert dict(rep.checked) == alone
+
+
 @pytest.mark.parametrize("prop", campaign.PROPERTIES)
 def test_single_definition_reaches_both_commands(prop, monkeypatch, capsys):
     # a verdict broken in the registry fails the campaign and `check` alike

@@ -1,10 +1,11 @@
 """CLI surface: records, formats, exit codes, and the verify front end."""
 
 import json
+import multiprocessing
 
 import pytest
 
-from numsgp import campaign, cli, tree
+from numsgp import campaign, cli, properties, tree
 from numsgp.errors import (EmbeddingDimTooSmall, IsTrivial, NotMaxGenerated,
                            NotSymmetric, PreconditionViolation)
 
@@ -293,6 +294,38 @@ def test_verify_interrupted(tmp_path, capsys, monkeypatch):
                          "--out", str(path))
     assert (code, out, err) == (130, "", "error: interrupted\n")
     assert not path.exists()
+
+
+def _raise_in_wilf(monkeypatch):
+    def broken(s):
+        raise RuntimeError("broken check")
+
+    for row in properties.ROWS:
+        if row.name == "wilf":
+            monkeypatch.setattr(row, "holds", broken)
+
+
+INTERNAL = "error: internal: RuntimeError: broken check\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_internal_error(jobs, tmp_path, capsys, monkeypatch):
+    # an exception inside a check is exit 5, not the verdict exit 1; at
+    # jobs 2 it is raised in a pool worker, which sees the broken row only
+    # when forked
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked")
+    _raise_in_wilf(monkeypatch)
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--max-genus", "8",
+                         "--jobs", str(jobs), "--out", str(path))
+    assert (code, out, err) == (5, "", INTERNAL)
+    assert not path.exists()
+
+
+def test_check_internal_error(capsys, monkeypatch):
+    _raise_in_wilf(monkeypatch)
+    assert run(capsys, "check", "wilf", "3,5,7") == (5, "", INTERNAL)
 
 
 def test_conductor_cap_env_invalid(capsys, monkeypatch):

@@ -10,13 +10,12 @@ import pytest
 
 import subset_oracle as oracle
 from numsgp import maxgen, tree
-from numsgp.core import _pf_mask, from_generators
+from numsgp.core import _bit_positions, _pf_mask, from_generators
 from numsgp.errors import (
     BadParameters,
     EmbeddingDimTooSmall,
     GapTooSmall,
     IsTrivial,
-    NotAGapSet,
     NotMaxGenerated,
     NotSymmetric,
 )
@@ -24,6 +23,12 @@ from numsgp.errors import (
 
 def S(*gens):
     return from_generators(list(gens))
+
+
+def reflected_gaps(n, s):
+    """RG(n, S) as a tuple, from the mask the campaign checks read."""
+    return tuple(_bit_positions(maxgen._rg_mask(s.members_mask, s.conductor,
+                                                n)))
 
 
 def test_is_max_generated():
@@ -87,17 +92,15 @@ def test_frobenius_formula():
 
 def test_reflected_gaps():
     s = S(7, 11, 16, 17, 19)
-    assert maxgen.reflected_gaps(s.frobenius, s) == (5, 8, 10, 12, 15)
-    assert maxgen.reflected_gaps(27, s) == (12, 15)
-    assert maxgen.reflected_gaps(4, S(3, 5, 7)) == (2,)
-    assert maxgen.reflected_gaps(1, S(3, 5, 7)) == ()
-    assert maxgen.reflected_gaps(1, S(1)) == ()
-    with pytest.raises(ValueError):
-        maxgen.reflected_gaps(0, s)
+    assert reflected_gaps(s.frobenius, s) == (5, 8, 10, 12, 15)
+    assert reflected_gaps(27, s) == (12, 15)
+    assert reflected_gaps(4, S(3, 5, 7)) == (2,)
+    assert reflected_gaps(1, S(3, 5, 7)) == ()
+    assert reflected_gaps(1, S(1)) == ()
     # agree with the naive oracle on a spread of (n, S)
     for gens in ([3, 5, 7], [4, 9, 11], [7, 11, 16, 17, 19]):
         for n in range(1, 30):
-            assert list(maxgen.reflected_gaps(n, S(*gens))) == \
+            assert list(reflected_gaps(n, S(*gens))) == \
                 oracle.reflected_gaps(gens, n)
 
 
@@ -148,7 +151,7 @@ def test_canonical_ideal_invariants():
         assert list(k.offsets) == oracle.canonical_offsets(gens)
         assert 0 in k
         f = s.frobenius
-        assert len(k.members_below_bound) == f + 2
+        assert k.mask < 1 << (f + 1)
         # base is contained in the ideal, and the ideal in turn is the
         # union of offset + base
         for z in range(f + 2):
@@ -263,15 +266,16 @@ def test_genus_lower_bound_interval_family():
 
 
 def test_is_distinguished():
-    s = S(3, 5, 7)
-    assert maxgen.is_distinguished(s.pseudo_frobenius(), s)
-    assert maxgen.is_distinguished({1, 2}, S(3, 4, 5))
-    assert not maxgen.is_distinguished({4}, s)
-    assert maxgen.is_distinguished(s.gaps(), s)
-    with pytest.raises(NotAGapSet):
-        maxgen.is_distinguished({3}, s)
-    with pytest.raises(NotAGapSet):
-        maxgen.is_distinguished({1, 9}, s)
+    gens = [3, 5, 7]
+    s = S(*gens)
+    assert oracle.is_distinguished(s.pseudo_frobenius(), gens)
+    assert oracle.is_distinguished({1, 2}, [3, 4, 5])
+    assert not oracle.is_distinguished({4}, gens)
+    assert oracle.is_distinguished(s.gaps(), gens)
+    with pytest.raises(ValueError):
+        oracle.is_distinguished({3}, gens)
+    with pytest.raises(ValueError):
+        oracle.is_distinguished({1, 9}, gens)
 
 
 def test_distinguished_contains_pf_and_bounds_wilf():
@@ -280,7 +284,7 @@ def test_distinguished_contains_pf_and_bounds_wilf():
         s = S(*gens)
         pf = set(s.pseudo_frobenius())
         for d in (pf, set(s.gaps())):
-            assert maxgen.is_distinguished(d, s)
+            assert oracle.is_distinguished(d, gens)
             assert pf <= d
             assert Fraction(s.genus, s.frobenius + 1) <= \
                 Fraction(len(d), len(d) + 1)
@@ -312,7 +316,7 @@ def test_distinguished_set_for_closed():
     t = maxgen.close_largest_gap(s)
     assert d == (1, 2)
     assert d == t.pseudo_frobenius()
-    assert maxgen.is_distinguished(d, t)
+    assert oracle.is_distinguished(d, t.min_generators)
 
     d = maxgen.distinguished_set_for_closed(S(4, 6, 7, 9))
     assert d == (1, 2, 3)
@@ -457,7 +461,6 @@ def test_reflection_masks_large_input():
         k, offs = maxgen._canonical_masks(s)
         assert offs == _canonical_masks_loop(s)[1]
         ideal = maxgen.canonical_ideal(s)
-        assert ideal.members_below_bound[:-1] == \
-            tuple(bool((k >> z) & 1) for z in range(c))
+        assert ideal.mask == k
     s = maxgen.from_symmetric(S(151, 200))
     assert maxgen.reflection_map(s) == _reflection_map_loop(s)
