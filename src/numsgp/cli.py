@@ -65,22 +65,13 @@ def _emit(record: dict, fmt: str) -> None:
     elif fmt == "table":
         print("command: %s" % record["command"])
         print("input: %s" % ",".join(map(str, record["input"])))
-        result = record["result"]
-        if isinstance(result, dict):
-            for k, v in result.items():
-                print("%s: %s" % (k, json.dumps(v)))
-        else:
-            print("result: %s" % json.dumps(result))
-    elif fmt == "csv":
+        for k, v in record["result"].items():
+            print("%s: %s" % (k, json.dumps(v)))
+    else:
         w = csv.writer(sys.stdout)
         w.writerow(["field", "value"])
-        result = record["result"]
-        items = result.items() if isinstance(result, dict) \
-            else [("result", result)]
-        for k, v in items:
+        for k, v in record["result"].items():
             w.writerow([k, json.dumps(v)])
-    else:
-        raise ParseFailure("unknown format %r" % fmt)
 
 
 def cmd_info(gens: list[int]) -> dict:
@@ -306,13 +297,11 @@ def main(argv=None) -> int:
         if args.subcommand == "construct":
             _emit(cmd_construct(args.kind, args.args), fmt)
             return 0
-        if args.subcommand == "verify":
-            props = [p.strip().replace("-", "_")
-                     for p in args.properties.split(",") if p.strip()]
-            vfmt = "table" if args.format is None and not args.json else fmt
-            return cmd_verify(args.max_genus, props or "all", args.jobs,
-                              args.out, vfmt)
-        raise ParseFailure("no subcommand")
+        props = [p.strip().replace("-", "_")
+                 for p in args.properties.split(",") if p.strip()]
+        vfmt = "table" if args.format is None and not args.json else fmt
+        return cmd_verify(args.max_genus, props or "all", args.jobs,
+                          args.out, vfmt)
     except (ParseFailure, ValueError, CampaignConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ builds the mask from the Apery entries by doubling shifts.  Lower bounds on
 the conductor are tested against the cap before the a_1-entry table is
 built.  The invariant scans (gaps, sporadic elements, Apery set,
 pseudo-Frobenius numbers) work on whole masks and extract bit positions in
-one linear pass, so a query costs O(e * a_1 + c).
+one linear pass, so a query costs O(e * a_1 + c).  A Semigroup is a value:
+the six construction-time fields plus the Apery table from_generators()
+built, kept because a mask rescan costs a tenth of a large query; all else
+is computed per call, and nothing writes to a Semigroup.
 
 The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
@@ -147,10 +150,12 @@ class AperyTable:
 
 
 class Semigroup:
-    """Immutable numerical semigroup.
+    """Immutable numerical semigroup: a value that nothing writes to.
 
     Not constructed directly; use from_generators().  Equality and hashing go
-    through the minimal generating set, which is unique.
+    through the minimal generating set, which is unique.  It stores the six
+    constructor arguments and from_generators()'s Apery table (None after a
+    tree step); every other invariant is computed per call.
     """
 
     __slots__ = (
@@ -160,9 +165,7 @@ class Semigroup:
         "genus",
         "frobenius",
         "multiplicity",
-        "_gaps",
         "_apery",
-        "_pf",
     )
 
     def __init__(self, min_generators, conductor, members_mask, genus,
@@ -173,21 +176,7 @@ class Semigroup:
         self.genus = genus
         self.frobenius = frobenius
         self.multiplicity = multiplicity
-        self._gaps = None
         self._apery = None
-        self._pf = None
-
-    # pickling support: __slots__ classes have no __dict__ on 3.10
-    def __getstate__(self):
-        return (self.min_generators, self.conductor, self.members_mask,
-                self.genus, self.frobenius, self.multiplicity)
-
-    def __setstate__(self, state):
-        (self.min_generators, self.conductor, self.members_mask,
-         self.genus, self.frobenius, self.multiplicity) = state
-        self._gaps = None
-        self._apery = None
-        self._pf = None
 
     def __repr__(self) -> str:
         return "Semigroup<%s>" % ", ".join(map(str, self.min_generators))
@@ -218,10 +207,8 @@ class Semigroup:
 
     def gaps(self) -> tuple[int, ...]:
         """The complement, ascending.  Empty for the trivial semigroup."""
-        if self._gaps is None:
-            self._gaps = tuple(_bit_positions(
-                ((1 << self.conductor) - 1) ^ self.members_mask))
-        return self._gaps
+        return tuple(_bit_positions(
+            ((1 << self.conductor) - 1) ^ self.members_mask))
 
     def sporadic_elements(self) -> tuple[int, ...]:
         """Elements of S strictly between 0 and F, ascending.
@@ -236,25 +223,25 @@ class Semigroup:
 
     def apery_set(self) -> AperyTable:
         """Least element of S in each residue class mod m."""
-        if self._apery is None:
-            m = self.multiplicity
-            entries = [0] * m
-            for n in _bit_positions(_apery_mask(self)):
-                entries[n % m] = n
-            self._apery = AperyTable(m, tuple(entries))
-        return self._apery
+        if self._apery is not None:
+            return self._apery
+        m = self.multiplicity
+        entries = [0] * m
+        for n in _bit_positions(_apery_mask(self)):
+            entries[n % m] = n
+        return AperyTable(m, tuple(entries))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps p with p + s in S for every positive s in S, ascending."""
         if self.is_trivial:
             raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
-        if self._pf is None:
-            self._pf = tuple(_bit_positions(_pf_mask(self)))
-        return self._pf
+        return tuple(_bit_positions(_pf_mask(self)))
 
     def type_number(self) -> int:
         """Number of pseudo-Frobenius numbers."""
-        return len(self.pseudo_frobenius())
+        if self.is_trivial:
+            raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
+        return _pf_mask(self).bit_count()
 
     def is_symmetric(self) -> bool:
         """True iff F + 1 = 2g, i.e. n in S <=> F - n not in S."""
@@ -263,8 +250,8 @@ class Semigroup:
         return self.frobenius + 1 == 2 * self.genus
 
 
-#: The semigroup of all nonnegative integers.
 def _naturals() -> Semigroup:
+    """The semigroup of all nonnegative integers."""
     return Semigroup((1,), 0, 0, 0, -1, 1)
 
 

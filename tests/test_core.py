@@ -4,6 +4,7 @@ Frozen expected values were produced by tests/subset_oracle.py; the
 differential tests re-run the oracle live on small instances.
 """
 
+import copy
 import pickle
 import time
 from math import gcd
@@ -180,13 +181,40 @@ def test_large_two_generator():
     assert s.genus == 100 * 102 // 2
 
 
+def _slot_values(s):
+    return [getattr(s, name) for name in Semigroup.__slots__]
+
+
 def test_pickle_roundtrip():
-    s = from_generators([4, 6, 7, 9])
-    t = pickle.loads(pickle.dumps(s))
-    assert t == s
-    assert t.frobenius == s.frobenius
-    assert t.members_mask == s.members_mask
-    assert t.pseudo_frobenius() == s.pseudo_frobenius()
+    built = from_generators([4, 6, 7, 9])
+    stepped = _remove_generator(built, 9)
+    # a from_generators result carries its Apery table, a tree step does not
+    assert built._apery is not None and stepped._apery is None
+    duplicates = [copy.copy, copy.deepcopy] + [
+        lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+        for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for s in (built, stepped):
+        for duplicate in duplicates:
+            t = duplicate(s)
+            assert type(t) is Semigroup and t == s
+            assert _slot_values(t) == _slot_values(s)
+            assert t.pseudo_frobenius() == s.pseudo_frobenius()
+
+
+def test_queries_store_nothing():
+    # a Semigroup is a value: no query writes to it
+    semigroups = [s for s in tree.walk(9) if not s.is_trivial]
+    semigroups += [from_generators(g) for g in
+                   ([3, 5, 7], [4, 6, 7, 9], [101, 103], [7, 11, 16, 17, 19])]
+    for s in semigroups:
+        before = _slot_values(s)
+        s.gaps()
+        s.sporadic_elements()
+        s.apery_set()
+        s.pseudo_frobenius()
+        s.type_number()
+        s.is_symmetric()
+        assert _slot_values(s) == before, s
 
 
 def test_apery_table_shape():
@@ -458,8 +486,9 @@ def test_construction_against_oracle(gens):
     if not s.is_trivial:
         assert list(s.pseudo_frobenius()) == inv["pf"]
         assert s.type_number() == inv["type"]
-    # the cached Apery set from the construction agrees with a fresh scan
-    fresh = Semigroup(*s.__getstate__())
+    # the stored Apery set from the construction agrees with a fresh scan
+    fresh = Semigroup(s.min_generators, s.conductor, s.members_mask,
+                      s.genus, s.frobenius, s.multiplicity)
     assert fresh.apery_set() == s.apery_set()
 
 
