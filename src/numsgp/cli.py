@@ -59,19 +59,24 @@ def _record(command: str, input_gens, result, provenance: str) -> dict:
     }
 
 
+def _fraction(x) -> dict:
+    """The json.dumps default: an exact rational as {"num", "den"}."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "jsonl":
-        print(json.dumps(record, separators=(", ", ": ")))
+        print(json.dumps(record, separators=(", ", ": "), default=_fraction))
     elif fmt == "table":
         print("command: %s" % record["command"])
         print("input: %s" % ",".join(map(str, record["input"])))
         for k, v in record["result"].items():
-            print("%s: %s" % (k, json.dumps(v)))
+            print("%s: %s" % (k, json.dumps(v, default=_fraction)))
     else:
         w = csv.writer(sys.stdout)
         w.writerow(["field", "value"])
         for k, v in record["result"].items():
-            w.writerow([k, json.dumps(v)])
+            w.writerow([k, json.dumps(v, default=_fraction)])
 
 
 def cmd_info(gens: list[int]) -> dict:
@@ -98,11 +103,11 @@ def cmd_info(gens: list[int]) -> dict:
 def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
     """Evaluate one property's registry rows on one semigroup.
 
-    The verdict is the conjunction over the rows whose domain contains the
-    semigroup, and the record comes from the first of them.  Outside every
-    domain this raises the last row's precondition violation (NotSymmetric
-    for correspondence); the trivial-semigroup row is left to campaigns,
-    so every property raises IsTrivial on <1>.
+    The verdict, written here as holds, is the conjunction over the rows
+    whose domain contains the semigroup; the record is the first one's.
+    Outside every domain this raises the last row's precondition violation
+    (NotSymmetric for correspondence); the trivial-semigroup row is left to
+    campaigns, so every property raises IsTrivial on <1>.
     """
     name = prop.replace("-", "_")
     rows = [r for r in properties.ROWS
@@ -117,8 +122,10 @@ def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
         properties.REQUIRE[rows[-1].domain](s)
     ok = all(r.holds(s) for r in rows_in if r.applies is None or r.applies(s))
     row = rows_in[0]
-    return (0 if ok else 1), _record("check:%s" % name, gens,
-                                     row.record(s, ok), row.provenance)
+    result = row.record(s)
+    result["holds"] = ok
+    return (0 if ok else 1), _record("check:%s" % name, gens, result,
+                                     row.provenance)
 
 
 def cmd_construct(kind: str, raw: str) -> dict:
@@ -170,7 +177,8 @@ def cmd_construct(kind: str, raw: str) -> dict:
             "embedding_dimension": t.embedding_dimension,
             "genus": t.genus,
             "frobenius": t.frobenius,
-            "wilf": None if t.is_trivial else properties.wilf_fields(t),
+            "wilf": (None if t.is_trivial
+                     else dict(vars(maxgen.wilf_report(t)))),
         }
         if s.min_generators[-1] > 2 * s.min_generators[0]:
             d = maxgen.distinguished_set_for_closed(s)

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from . import core
 from .core import (Semigroup, _apery_mask, _bit_positions, _extended_mask,
-                   _reverse, from_generators)
+                   _reverse)
 from .errors import (
     BadParameters,
+    ConductorCapExceeded,
     EmbeddingDimTooSmall,
     GapTooSmall,
     IsTrivial,
@@ -74,6 +75,7 @@ class ReflectedGapReport:
     cond_i:   a_e = 2g + 1
     cond_ii:  m + RG(f, S) = Ap(S) minus {0, f + m}, as sets
     cond_iii: a_e = f + m and |RG(f, S)| = m - 2
+    equivalent: cond_i, cond_ii and cond_iii agree
 
     where f = F(S) and RG(n, S) = {L in [1, n-1] : L not in S, n - L not in
     S}.  rg_f_plus_m is reported as well because the equivalence proof runs
@@ -83,6 +85,7 @@ class ReflectedGapReport:
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
+    equivalent: bool
     rg_f: tuple[int, ...]
     rg_f_plus_m: tuple[int, ...]
     apery_minus: tuple[int, ...]
@@ -200,6 +203,7 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
         cond_i=cond_i,
         cond_ii=cond_ii,
         cond_iii=cond_iii,
+        equivalent=cond_i == cond_ii == cond_iii,
         rg_f=tuple(_bit_positions(rgf)),
         rg_f_plus_m=tuple(_bit_positions(rgfm)),
         apery_minus=tuple(_bit_positions(ap)),
@@ -342,7 +346,8 @@ def notiz_family(m: int, f: int) -> Semigroup:
     dividing f.
 
     Its Frobenius number is f and its largest minimal generator is f + m;
-    it is max-generated exactly when f = m + 1.
+    it is max-generated exactly when f = m + 1.  Below c = f + 1 its
+    members are the multiples of m, so g = f - floor(f / m).
     """
     if m < 3:
         raise BadParameters("need m >= 3, got m = %d" % m)
@@ -350,4 +355,10 @@ def notiz_family(m: int, f: int) -> Semigroup:
         raise BadParameters("need f > m, got f = %d, m = %d" % (f, m))
     if f % m == 0:
         raise BadParameters("f = %d is a multiple of m = %d" % (f, m))
-    return from_generators([m] + list(range(f + 1, f + m + 1)))
+    c = f + 1
+    cap = core.conductor_cap()
+    if c >= cap:
+        raise ConductorCapExceeded("conductor %d reaches the cap %d"
+                                   % (c, cap))
+    return Semigroup((m,) + tuple(n for n in range(c, c + m) if n % m), c,
+                     core._mask_from_apery([0], m, c), f - f // m, f, m)

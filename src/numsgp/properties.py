@@ -24,8 +24,9 @@ give the same verdict.  Property names, in registry order:
                         symmetric-partner form agree with the Wilf verdict
 
 A row has a domain (see domains()), an optional applies(s) that narrows
-it, the verdict holds(s), and record(s, ok), the `check` result fields,
-with the provenance string that goes beside them.  Outside its domain a
+it, the verdict holds(s), and record(s), the `check` result fields less
+holds, which `check` writes, with the provenance string that goes beside
+them.  Records keep Fractions; the CLI encodes them.  Outside its domain a
 property is undefined; inside it but not applicable, it holds vacuously.
 correspondence has one row per side and one for the trivial semigroup,
 whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides and is
@@ -66,28 +67,14 @@ REQUIRE = {ALL: maxgen._require_nontrivial,
 
 @dataclass
 class Row:
-    """One checked identity on one domain; see the module docstring."""
+    """One identity on one domain; `check` adds holds to record(s)'s fields."""
 
     name: str
     domain: int
     holds: Callable[[Semigroup], bool]
-    record: Callable[[Semigroup, bool], dict] | None = None
+    record: Callable[[Semigroup], dict] | None = None
     provenance: str | None = None
     applies: Callable[[Semigroup], bool] | None = None
-
-
-def _frac(x) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def wilf_fields(s: Semigroup) -> dict:
-    """maxgen.wilf_report(s) as record fields."""
-    r = maxgen.wilf_report(s)
-    return {
-        "e": r.e, "g": r.g, "f": r.f, "m": r.m,
-        "lhs": _frac(r.lhs), "rhs": _frac(r.rhs), "margin": _frac(r.margin),
-        "holds": r.holds, "count_form_holds": r.count_form_holds,
-    }
 
 
 # -- verdicts and applicability ---------------------------------------------
@@ -208,107 +195,88 @@ def correspondence_count_failures(mg: list, sym: list) -> list[int]:
 
 # -- check records ------------------------------------------------------------
 
-def _wilf_equality_record(s, ok):
+def _wilf_equality_record(s):
     margin = maxgen.wilf_report(s).margin
-    return {"applicable": _equality_family(s), "margin": _frac(margin),
+    return {"applicable": _equality_family(s), "margin": margin,
             "margin_zero": margin == 0}
 
 
-def _apery_reflected_gaps_record(s, ok):
-    r = maxgen.reflected_gap_report(s)
-    return {"cond_i": r.cond_i, "cond_ii": r.cond_ii, "cond_iii": r.cond_iii,
-            "equivalent": ok, "rg_f": list(r.rg_f),
-            "rg_f_plus_m": list(r.rg_f_plus_m),
-            "apery_minus": list(r.apery_minus)}
-
-
-def _frobenius_formula_record(s, ok):
+def _frobenius_formula_record(s):
     return {"frobenius": s.frobenius,
             "largest_generator": s.min_generators[-1],
-            "multiplicity": s.multiplicity, "holds": ok}
+            "multiplicity": s.multiplicity}
 
 
-def _pf_formula_record(s, ok):
+def _pf_formula_record(s):
     ae = s.min_generators[-1]
     return {"pf": list(s.pseudo_frobenius()),
-            "expected": sorted(ae - a for a in s.min_generators[:-1]),
-            "holds": ok}
+            "expected": sorted(ae - a for a in s.min_generators[:-1])}
 
 
-def _type_record(s, ok):
+def _type_record(s):
     return {"type": s.type_number(),
-            "embedding_dimension": s.embedding_dimension, "holds": ok}
+            "embedding_dimension": s.embedding_dimension}
 
 
-def _canonical_gens_record(s, ok):
-    f = s.frobenius
+def _canonical_gens_record(s):
     return {"offsets": list(maxgen.canonical_ideal(s).offsets),
-            "expected": sorted(f - p for p in s.pseudo_frobenius()),
-            "holds": ok}
+            "expected": sorted(s.frobenius - p for p in s.pseudo_frobenius())}
 
 
-def _reflection_bijection_record(s, ok):
+def _reflection_bijection_record(s):
     pairs = maxgen.reflection_map(s)
     return {"pairs": [list(p) for p in pairs],
-            "image": sorted(b for _, b in pairs),
-            "gaps": list(s.gaps()), "holds": ok}
+            "image": sorted(b for _, b in pairs), "gaps": list(s.gaps())}
 
 
-def _to_symmetric_record(s, ok):
+def _to_symmetric_record(s):
     sp = maxgen.to_symmetric(s)
     return {"direction": "to_symmetric", "partner": list(sp.min_generators),
-            "round_trip": maxgen.from_symmetric(sp) == s, "holds": ok}
+            "round_trip": maxgen.from_symmetric(sp) == s}
 
 
-def _from_symmetric_record(s, ok):
+def _from_symmetric_record(s):
     sm = maxgen.from_symmetric(s)
     return {"direction": "from_symmetric", "partner": list(sm.min_generators),
-            "round_trip": core._remove_generator(sm, s.frobenius) == s,
-            "holds": ok}
+            "round_trip": core._remove_generator(sm, s.frobenius) == s}
 
 
-def _closed_gap_wilf_record(s, ok):
+def _closed_gap_wilf_record(s):
     gens = s.min_generators
     t = maxgen.close_largest_gap(s)
     out = {"closed": list(t.min_generators), "genus": t.genus,
-           "wilf": None if t.is_trivial else wilf_fields(t),
+           "wilf": (None if t.is_trivial
+                    else dict(vars(maxgen.wilf_report(t)))),
            "distinguished_set": None, "pf_match": None}
     if gens[-1] > 2 * gens[0]:
         d = maxgen.distinguished_set_for_closed(s)
         out["distinguished_set"] = list(d)
         out["pf_match"] = d == t.pseudo_frobenius()
-    out["holds"] = ok
     return out
 
 
-def _sym_generators_record(s, ok):
+def _sym_generators_record(s):
     return {"applicable": _multiplicity_at_least_3(s),
             "largest_generator": s.min_generators[-1],
-            "frobenius": s.frobenius, "holds": ok}
+            "frobenius": s.frobenius}
 
 
-def _genus_bound_record(s, ok):
+def _genus_bound_record(s):
     return {"bound_holds": maxgen.genus_lower_bound_check(s),
             "count_form_holds": maxgen._genus_bound_forms(s)[1],
-            "asserted": _frobenius_above_multiplicity(s), "holds": ok}
-
-
-def _inequality_chain_record(s, ok):
-    # raises EmbeddingDimTooSmall for e <= 2, where the chain is undefined
-    r = maxgen.maxgen_inequality_chain(s)
-    return {"mult_form_holds": r.mult_form_holds,
-            "symmetric_form_holds": r.symmetric_form_holds,
-            "wilf_holds": r.wilf_holds, "holds": ok}
+            "asserted": _frobenius_above_multiplicity(s)}
 
 
 ROWS = (
+    # a report's record copies its fields: check writes holds into it
     Row("wilf", ALL, maxgen._wilf_holds,
-        lambda s, ok: {**wilf_fields(s), "holds": ok},
+        lambda s: dict(vars(maxgen.wilf_report(s))),
         "numsgp.maxgen.wilf_report"),
     Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
         "numsgp.maxgen.wilf_report", applies=_equality_family),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
-        _apery_reflected_gaps_record, "numsgp.maxgen.reflected_gap_report"),
+        lambda s: dict(vars(maxgen.reflected_gap_report(s))),
+        "numsgp.maxgen.reflected_gap_report"),
     Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
         _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
@@ -330,8 +298,10 @@ ROWS = (
     Row("genus_bound", ALL, _genus_bound, _genus_bound_record,
         "numsgp.maxgen.genus_lower_bound_check",
         applies=_frobenius_above_multiplicity),
+    # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain
     Row("inequality_chain", MAXGEN, _inequality_chain,
-        _inequality_chain_record, "numsgp.maxgen.maxgen_inequality_chain",
+        lambda s: dict(vars(maxgen.maxgen_inequality_chain(s))),
+        "numsgp.maxgen.maxgen_inequality_chain",
         applies=_embedding_dim_above_2),
 )
 

@@ -225,4 +225,4 @@ def test_single_definition_reaches_both_commands(prop, monkeypatch, capsys):
     rep = campaign.run_campaign(8, [prop], jobs=1)
     assert _failed(rep, prop)
     assert cli.main(["check", prop, CHECK_FIXTURES[prop]]) == 1
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["result"]["holds"] is False

@@ -1,5 +1,7 @@
 """CLI surface: records, formats, exit codes, and the verify front end."""
 
+import csv
+import io
 import json
 import multiprocessing
 
@@ -170,6 +172,10 @@ def test_table_format(capsys):
     assert code == 0
     assert "genus: 3" in out
     assert "min_generators: [3, 5, 7]" in out
+    # a Fraction in a record is written as JSON in every format
+    code, out, _ = run(capsys, "check", "wilf", "3,4,5", "--format", "table")
+    assert code == 0
+    assert 'lhs: {"num": 2, "den": 3}' in out.splitlines()
 
 
 def test_csv_format(capsys):
@@ -178,6 +184,11 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "field,value"
     assert any(ln.startswith("genus,1") for ln in lines)
+    code, out, _ = run(capsys, "construct", "close-gap", "3,5,7",
+                       "--format", "csv")
+    assert code == 0
+    rows = dict(csv.reader(io.StringIO(out)))
+    assert json.loads(rows["wilf"])["margin"] == {"num": 0, "den": 1}
 
 
 def test_json_flag_shorthand(capsys):
@@ -371,6 +382,7 @@ def test_check_domain_sweep():
             if want is None:
                 code, rec = cli.cmd_check(prop, gens)
                 assert code == 0, (prop, gens, rec)
+                assert rec["result"]["holds"] is True, (prop, gens)
                 if prop == "correspondence":
                     # <2, 2g+1> is on both sides; it reports the first
                     mg = s.min_generators[-1] == 2 * s.genus + 1

@@ -13,6 +13,7 @@ from numsgp import maxgen, tree
 from numsgp.core import _bit_positions, _pf_mask, from_generators
 from numsgp.errors import (
     BadParameters,
+    ConductorCapExceeded,
     EmbeddingDimTooSmall,
     GapTooSmall,
     IsTrivial,
@@ -359,6 +360,29 @@ def test_notiz_family_invariants_sweep():
             assert s.multiplicity == m
             assert s.min_generators[-1] == f + m
             assert maxgen.is_max_generated(s) == (f == m + 1)
+
+
+def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
+    # notiz_family builds its result from the closed form; from_generators
+    # on the same generators is the reference it must match
+    fields = ("min_generators", "conductor", "members_mask", "genus",
+              "frobenius", "multiplicity")
+    for m in range(3, 25):
+        for f in range(m + 1, 120):
+            if f % m == 0:
+                continue
+            s = maxgen.notiz_family(m, f)
+            t = from_generators([m] + list(range(f + 1, f + m + 1)))
+            for k in fields:
+                assert getattr(s, k) == getattr(t, k), (m, f, k)
+            assert s.apery_set() == t.apery_set(), (m, f)
+    # the conductor cap applies as it does in from_generators
+    monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", "50")
+    assert maxgen.notiz_family(7, 48).conductor == 49
+    with pytest.raises(ConductorCapExceeded):
+        maxgen.notiz_family(8, 49)
+    with pytest.raises(ConductorCapExceeded):
+        from_generators([8] + list(range(50, 58)))
 
 
 def test_interval_tails_are_max_generated():
