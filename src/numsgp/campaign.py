@@ -2,12 +2,23 @@
 
 A campaign walks every numerical semigroup up to a genus bound and runs a
 selection of named checks on each node.  It is one fold: _tally counts
-any iterable of semigroups by genus and runs the checks on each.  The walk
-is split at a fixed frontier genus; the nodes below it make one part, and
-each frontier subtree makes another, tallied in this process or by a
-process pool with the same function.  The parts are summed column-wise
-once, so the report is byte-identical for any worker count, and failures
-carry the minimal generator list of the offending semigroup as a witness.
+any iterable of semigroups by genus and runs the checks on each.  The
+parts are summed column-wise once and the failures sorted, so the report
+is byte-identical for any worker count; failures carry the minimal
+generator list of the offending semigroup as a witness.
+
+One worker tallies tree.walk in this process.  More workers share the tree
+through a fixed frontier that depends only on the genus bound G.  Every
+node of genus below split = min(G, SPLIT_GENUS) is expanded; a node of
+genus split or more is expanded too while its genus is below
+G - UNIT_MARGIN and it has at least MIN_CHILDREN children.  The nodes
+that are not expanded are the frontier.  The nodes above it and the
+frontier subtrees (the units) are numbered in walk order, and worker k of
+J tallies the items numbered k mod J: a unit's whole subtree, an
+above-frontier node alone.  Each worker walks the part above the frontier
+itself and returns one tally, so only integers go to the pool and no
+semigroup crosses it.  The pool has at most one worker per node at genus
+split.
 
 The checks themselves, and the names accepted by run_campaign and the CLI,
 are the rows of :mod:`numsgp.properties`.
@@ -23,13 +34,17 @@ from functools import partial
 from multiprocessing import Pool
 
 from . import tree
-from .core import Semigroup
+from .core import _naturals, _remove_generator
 from .errors import BoundTooLarge, UnknownProperty
 from .properties import (DOMAIN_KEYS, MAXGEN, PROPERTIES, ROWS, SYMMETRIC,
                          TRIVIAL, correspondence_count_failures, domains)
 
-#: Subtrees rooted at this genus become independent work units.
+#: The frontier starts at this genus, and the nodes there bound the pool.
 SPLIT_GENUS = 11
+#: Frontier nodes below genus max_genus - UNIT_MARGIN are expanded further
+#: when they have at least MIN_CHILDREN children.
+UNIT_MARGIN = 4
+MIN_CHILDREN = 3
 
 
 @dataclass(frozen=True)
@@ -116,12 +131,34 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
     return counts, mg, sym, checked, failures
 
 
-def _subtree(max_genus: int, names: tuple[str, ...],
-             start: Semigroup) -> tuple:
-    """The tally of the subtree rooted at start.  Pool workers get the
-    property names, not the plan: pickling the plan's functions for every
-    work unit costs more than building the plan again."""
-    return _tally(tree.walk(max_genus, start), max_genus, names)
+def _share(max_genus: int, jobs: int, k: int):
+    """Worker k's share, of jobs, of the genus tree up to max_genus: the
+    above-frontier nodes and the frontier subtrees numbered k mod jobs in
+    walk order (see the module docstring)."""
+    split = min(max_genus, SPLIT_GENUS)
+    deep = max_genus - UNIT_MARGIN
+    stack = [_naturals()]
+    n = 0
+    while stack:
+        s = stack.pop()
+        f = s.frobenius
+        kids = [a for a in s.min_generators if a > f]
+        mine = n % jobs == k
+        n += 1
+        if s.genus < split or (s.genus < deep
+                               and len(kids) >= MIN_CHILDREN):
+            if mine:
+                yield s
+            stack.extend(_remove_generator(s, a) for a in kids)
+        elif mine:
+            yield from tree.walk(max_genus, s)
+
+
+def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
+            k: int) -> tuple:
+    """The tally of share k.  Pool workers get the property names, not the
+    plan: pickling the plan's functions costs more than building it."""
+    return _tally(_share(max_genus, jobs, k), max_genus, names)
 
 
 def resolve_properties(properties) -> tuple[str, ...]:
@@ -145,9 +182,14 @@ def resolve_properties(properties) -> tuple[str, ...]:
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
     """Check the selected properties on every semigroup of genus <= max_genus.
 
-    jobs > 1 distributes frontier subtrees over a process pool of at most
-    one worker per subtree; the report (wall time aside) does not depend on
-    the worker count.
+    jobs > 1 runs a process pool of at most one worker per semigroup of
+    genus min(max_genus, SPLIT_GENUS).  The tree is cut at a frontier fixed
+    by max_genus: every node of lower genus is expanded, and so is a
+    deeper node below genus max_genus - UNIT_MARGIN with at least
+    MIN_CHILDREN children.  The expanded nodes and the frontier subtrees
+    are numbered in walk order; worker k tallies those numbered k mod the
+    pool size and returns one tally.  The report (wall time aside) does
+    not depend on the worker count.
     """
     if max_genus < 0:
         raise ValueError("max_genus must be nonnegative")
@@ -159,19 +201,18 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     names = resolve_properties(properties)
 
     t0 = time.perf_counter()
-    split = min(max_genus, SPLIT_GENUS)
-    top = list(tree.walk(split))
-    roots = [s for s in top if s.genus == split]
-    parts = [_tally((s for s in top if s.genus < split), max_genus, names)]
-    task = partial(_subtree, max_genus, names)
-    workers = min(jobs, len(roots))
+    workers = 1
+    if jobs > 1:
+        split = min(max_genus, SPLIT_GENUS)
+        workers = min(jobs, sum(s.genus == split for s in tree.walk(split)))
     if workers == 1:
-        parts.extend(map(task, roots))
+        parts = [_tally(tree.walk(max_genus), max_genus, names)]
     else:
         # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool
         with Pool(workers, signal.signal,
                   (signal.SIGINT, signal.SIG_IGN)) as pool:
-            parts.extend(pool.map(task, roots, chunksize=1))
+            parts = pool.map(partial(_worker, max_genus, names, workers),
+                             range(workers))
     columns = list(zip(*parts))
     counts, mg, sym, checked = ([sum(c) for c in zip(*column)]
                                 for column in columns[:4])

@@ -1,6 +1,8 @@
 """Campaign runner: exhaustive results, determinism, and report shape."""
 
 import json
+import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -149,6 +151,102 @@ def test_pool_no_larger_than_work(monkeypatch):
         assert sizes == want, (max_genus, jobs)
         assert rep.to_json(include_wall_time=False) == campaign.run_campaign(
             max_genus, "all", 1).to_json(include_wall_time=False)
+
+
+def _dealt(monkeypatch, max_genus, jobs):
+    """The nodes of every share and the unit roots they walked."""
+    walk = tree.walk
+    roots = []
+
+    def recording(max_genus, start=None):
+        roots.append(start.min_generators)
+        return walk(max_genus, start)
+
+    monkeypatch.setattr(tree, "walk", recording)
+    nodes = Counter(s.min_generators for k in range(jobs)
+                    for s in campaign._share(max_genus, jobs, k))
+    monkeypatch.setattr(tree, "walk", walk)
+    return nodes, roots
+
+
+def test_shares_partition_the_tree(monkeypatch):
+    # every node lands in exactly one share, and the frontier depends on
+    # the genus bound alone
+    for max_genus in range(17):
+        whole = Counter(s.min_generators for s in tree.walk(max_genus))
+        frontier = None
+        for jobs in (1, 2, 3, 5):
+            nodes, roots = _dealt(monkeypatch, max_genus, jobs)
+            assert nodes == whole, (max_genus, jobs)
+            assert len(set(roots)) == len(roots)
+            assert frontier in (None, set(roots)), (max_genus, jobs)
+            frontier = set(roots)
+        if max_genus <= 15:
+            # no deeper than the nodes at genus min(G, 11)
+            split = min(max_genus, campaign.SPLIT_GENUS)
+            assert frontier == {s.min_generators for s in tree.walk(split)
+                                if s.genus == split}
+
+
+def test_frontier_deepens_with_the_bound(monkeypatch):
+    # units and above-frontier nodes at three genus bounds
+    roots = []
+    monkeypatch.setattr(tree, "walk",
+                        lambda g, start: roots.append(start) or iter(()))
+    for max_genus, units, above in ((16, 646, 566), (19, 3549, 1403),
+                                    (21, 10310, 3325)):
+        roots.clear()
+        assert sum(1 for _ in campaign._share(max_genus, 1, 0)) == above
+        assert len(roots) == units
+
+
+def test_refined_frontier_byte_identical():
+    # genus 16 is the first bound whose frontier goes below genus 11
+    reports = {campaign.run_campaign(16, "all", jobs).to_json(
+        include_wall_time=False) for jobs in (1, 2, 3)}
+    assert len(reports) == 1
+
+
+def test_refined_frontier_failures_merge(monkeypatch):
+    # witnesses from three workers merge into the jobs-1 failure list; the
+    # workers see the broken row only when forked
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked")
+    for row in properties.ROWS:
+        if row.name == "type":
+            monkeypatch.setattr(row, "holds", lambda s: False)
+    for k in range(3):
+        assert any(s.min_generators[-1] == 2 * s.genus + 1
+                   for s in campaign._share(16, 3, k) if not s.is_trivial)
+    one = campaign.run_campaign(16, ["type"], 1)
+    three = campaign.run_campaign(16, ["type"], 3)
+    assert len(one.property_failures) == dict(one.checked)["type"]
+    assert three.property_failures == one.property_failures
+
+
+def test_pool_capped_by_the_split_genus(monkeypatch):
+    # the frontier below genus 11 has more units than genus 11 has nodes,
+    # yet any jobs asks for at most min(jobs, nodes at genus min(G, 11))
+    sizes = []
+
+    class Asked(Exception):
+        pass
+
+    class FakePool:
+        """Records its size and starts nothing."""
+
+        def __init__(self, n, initializer, initargs):
+            sizes.append(n)
+            raise Asked
+
+    monkeypatch.setattr(campaign, "Pool", FakePool)
+    width = Counter(s.genus for s in tree.walk(campaign.SPLIT_GENUS))
+    assert width[11] == 343
+    for max_genus in (2, 5, 11, 12, 16, 19, 21):
+        for jobs in (3, 10_000):
+            with pytest.raises(Asked):
+                campaign.run_campaign(max_genus, ["wilf"], jobs)
+            assert sizes.pop() == min(jobs, width[min(max_genus, 11)])
 
 
 def test_report_json_shape(report12):
