@@ -14,9 +14,13 @@ the conductor are tested against the cap before the a_1-entry table is
 built.  The invariant scans (gaps, sporadic elements, Apery set,
 pseudo-Frobenius numbers) work on whole masks and extract bit positions in
 one linear pass, so a query costs O(e * a_1 + c).  A Semigroup is a value:
-the six construction-time fields plus the Apery table from_generators()
+seven construction-time fields plus the Apery table from_generators()
 built, kept because a mask rescan costs a tenth of a large query; all else
-is computed per call, and nothing writes to a Semigroup.
+is computed per call, and nothing writes to a Semigroup.  The seventh
+field, mirror, is the gap mask mirrored over c bits (bit c - 1 - n set iff
+n is a gap).  The reflections the checks test (RG(n, S), the canonical
+ideal K = {z : F - z not in S}, a child generator's minimality) read it
+shifted, instead of mirroring the gap mask again.
 
 The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
@@ -27,6 +31,11 @@ Hivert, Math. Comp. 2016):
   the two kept only if it is not a sum of two positive members of the child;
 - parent, S union {F} (_add_frobenius): the generators are {F} union G
   minus {F + m, 2F}; the genus drops by one and m becomes min(m, F).
+
+Each step carries the mirror with one shift.  The child's new gap a = c' - 1
+lands on bit 0 and every old gap moves up by c' - c.  The parent's gaps sit
+c - c' too high, and as c' <= F the shift down drops bit 0, the gap F that
+the parent lost.
 
 Invariants follow the usual notation: gaps(S) is the complement, g = #gaps
 the genus, F the largest gap (Frobenius number), m the least positive element
@@ -153,9 +162,10 @@ class Semigroup:
     """Immutable numerical semigroup: a value that nothing writes to.
 
     Not constructed directly; use from_generators().  Equality and hashing go
-    through the minimal generating set, which is unique.  It stores the six
+    through the minimal generating set, which is unique.  It stores the seven
     constructor arguments and from_generators()'s Apery table (None after a
-    tree step); every other invariant is computed per call.
+    tree step); every other invariant is computed per call.  mirror is the
+    gap mask mirrored over c bits: bit c - 1 - n is set iff n is a gap.
     """
 
     __slots__ = (
@@ -165,17 +175,19 @@ class Semigroup:
         "genus",
         "frobenius",
         "multiplicity",
+        "mirror",
         "_apery",
     )
 
     def __init__(self, min_generators, conductor, members_mask, genus,
-                 frobenius, multiplicity):
+                 frobenius, multiplicity, mirror):
         self.min_generators = min_generators
         self.conductor = conductor
         self.members_mask = members_mask
         self.genus = genus
         self.frobenius = frobenius
         self.multiplicity = multiplicity
+        self.mirror = mirror
         self._apery = None
 
     def __repr__(self) -> str:
@@ -252,7 +264,7 @@ class Semigroup:
 
 def _naturals() -> Semigroup:
     """The semigroup of all nonnegative integers."""
-    return Semigroup((1,), 0, 0, 0, -1, 1)
+    return Semigroup((1,), 0, 0, 0, -1, 1, 0)
 
 
 def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
@@ -386,8 +398,9 @@ def from_generators(values: Iterable[int]) -> Semigroup:
             "conductor %d reaches the cap %d" % (conductor, cap))
     # Selmer: g = sum of floor(w / a1), and entry r is congruent to r
     genus = (sum(apery) - a1 * (a1 - 1) // 2) // a1
-    s = Semigroup(min_gens, conductor, _mask_from_apery(apery, a1, conductor),
-                  genus, conductor - 1, a1)
+    mask = _mask_from_apery(apery, a1, conductor)
+    s = Semigroup(min_gens, conductor, mask, genus, conductor - 1, a1,
+                  _reverse(((1 << conductor) - 1) ^ mask, conductor))
     s._apery = AperyTable(a1, tuple(apery))
     return s
 
@@ -398,8 +411,9 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     The genus goes up by one and F becomes a.  The other minimal generators
     stay minimal.  A new one is a + v for a positive member v of S, and it
     is at most F' + m' = a + m', so v = m, or v = m' when a = m.  Each
-    candidate t is tested against the child's positive members below it,
-    mirrored about t.
+    candidate t is minimal iff t - u is a gap of the child for every
+    positive member u below t: the child's mirror shifted by t - a has bit
+    t - n set iff n is a gap.
     """
     conductor = a + 1
     child_mask = _extended_mask(s.members_mask, s.conductor,
@@ -411,13 +425,15 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
         mult = ((positives & -positives).bit_length() - 1
                 if positives else conductor)
         candidates.append(a + mult)
+    mirror = (s.mirror << (conductor - s.conductor)) | 1
     gens = [x for x in s.min_generators if x != a]
     for t in candidates:
         pos = _extended_mask(child_mask, conductor, t - conductor) & ~1
-        if not pos & _reverse(pos, t + 1):
+        if not pos & ~(mirror << (t - a)):
             gens.append(t)
     gens.sort()
-    return Semigroup(tuple(gens), conductor, child_mask, s.genus + 1, a, mult)
+    return Semigroup(tuple(gens), conductor, child_mask, s.genus + 1, a, mult,
+                     mirror)
 
 
 def _add_frobenius(s: Semigroup) -> Semigroup:
@@ -435,4 +451,5 @@ def _add_frobenius(s: Semigroup) -> Semigroup:
     conductor = (((1 << f) - 1) & ~s.members_mask).bit_length()
     return Semigroup(tuple(gens), conductor,
                      s.members_mask & ((1 << conductor) - 1),
-                     s.genus - 1, conductor - 1, min(m, f))
+                     s.genus - 1, conductor - 1, min(m, f),
+                     s.mirror >> (s.conductor - conductor))

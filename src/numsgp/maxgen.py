@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .core import (Semigroup, _apery_mask, _bit_positions, _extended_mask,
-                   _reverse)
+from .core import Semigroup, _apery_mask, _bit_positions, _extended_mask
 from .errors import (
     BadParameters,
     ConductorCapExceeded,
@@ -165,14 +164,16 @@ def frobenius_formula_check(s: Semigroup) -> bool:
     return s.frobenius == s.min_generators[-1] - s.multiplicity
 
 
-def _rg_mask(mask: int, conductor: int, n: int) -> int:
-    """Bit L set iff L and n - L are both gaps, for n >= 1.
+def _rg_mask(s: Semigroup, n: int) -> int:
+    """Bit L set iff L and n - L are both gaps, for n >= 0.
 
-    With G the gaps in [1, min(n, c) - 1], mirroring G over n + 1 bits sends
-    L to n - L, so RG(n) = G AND its mirror image.
+    The mirror has bit c - 1 - L set iff L is a gap; shifted by n + 1 - c it
+    has bit n - L set instead, so RG(n) = gaps AND the shifted mirror.
     """
-    gaps = ~mask & ((1 << min(n, conductor)) - 1) & ~1
-    return gaps & _reverse(gaps, n + 1)
+    c = s.conductor
+    mirror = (s.mirror << (n + 1 - c) if n >= c
+              else s.mirror >> (c - 1 - n))
+    return mirror & (((1 << c) - 1) ^ s.members_mask)
 
 
 def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
@@ -184,7 +185,7 @@ def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
     f = s.frobenius
     m = s.multiplicity
     ae = s.min_generators[-1]
-    rgf = _rg_mask(s.members_mask, s.conductor, f)
+    rgf = _rg_mask(s, f)
     ap = _apery_mask(s) & ~1 & ~(1 << (f + m))
     return (ae == 2 * s.genus + 1, rgf << m == ap,
             ae == f + m and rgf.bit_count() == m - 2, rgf, ap)
@@ -198,7 +199,7 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
     """
     _require_nontrivial(s)
     cond_i, cond_ii, cond_iii, rgf, ap = _reflected_gap_verdicts(s)
-    rgfm = _rg_mask(s.members_mask, s.conductor, s.frobenius + s.multiplicity)
+    rgfm = _rg_mask(s, s.frobenius + s.multiplicity)
     return ReflectedGapReport(
         cond_i=cond_i,
         cond_ii=cond_ii,
@@ -213,14 +214,14 @@ def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
 def _canonical_masks(s: Semigroup) -> tuple[int, int]:
     """(K mask over [0, F], minimal-offset mask) for K = {z : F - z not in S}.
 
-    K over [0, F] is the gap mask mirrored over c bits (z to F - z).  An
-    offset o is minimal when no positive member u of S has o - u in K.
-    Shifting K by the minimal generators alone marks every non-minimal
-    offset, because K + S is a subset of K: if o - u is in K and
-    u = a + u' with a a minimal generator and u' in S, then o - a is in K.
+    K over [0, F] is the gap mask mirrored over c bits (z to F - z), which
+    is the mirror field of S.  An offset o is minimal when no positive
+    member u of S has o - u in K.  Shifting K by the minimal generators
+    alone marks every non-minimal offset, because K + S is a subset of K:
+    if o - u is in K and u = a + u' with a a minimal generator and u' in S,
+    then o - a is in K.
     """
-    c = s.conductor
-    k = _reverse(((1 << c) - 1) ^ s.members_mask, c)
+    k = s.mirror
     nonmin = 0
     for a in s.min_generators:
         nonmin |= k << a
@@ -360,5 +361,8 @@ def notiz_family(m: int, f: int) -> Semigroup:
     if c >= cap:
         raise ConductorCapExceeded("conductor %d reaches the cap %d"
                                    % (c, cap))
+    # the mirror's members sit at c - 1 - n for the multiples n of m, the
+    # class f mod m
     return Semigroup((m,) + tuple(n for n in range(c, c + m) if n % m), c,
-                     core._mask_from_apery([0], m, c), f - f // m, f, m)
+                     core._mask_from_apery([0], m, c), f - f // m, f, m,
+                     ((1 << c) - 1) ^ core._mask_from_apery([f % m], m, c))

@@ -47,7 +47,7 @@ def test_criterion_1_named_fixtures(capsys):
         start = time.perf_counter()
         s = from_generators([7, 11, 16, 17, 19])
         assert s.genus == 13
-        rg = maxgen._rg_mask(s.members_mask, s.conductor, s.frobenius)
+        rg = maxgen._rg_mask(s, s.frobenius)
         assert _bit_positions(rg) == [5, 8, 10, 12, 15]
         for m in range(3, 11):
             t = maxgen.notiz_family(m, m + 1)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from numsgp import campaign, cli, maxgen, properties, tree
+from numsgp import campaign, cli, core, maxgen, properties, tree
 from numsgp.errors import BoundTooLarge, UnknownProperty
 from test_cli import CHECK_FIXTURES
 
@@ -274,14 +274,33 @@ def test_broken_rg_mask_is_caught(monkeypatch):
     # the apery_reflected_gaps verdict reads _rg_mask from maxgen
     real = maxgen._rg_mask
 
-    def drop_lowest_bit(mask, conductor, n):
-        v = real(mask, conductor, n)
+    def drop_lowest_bit(s, n):
+        v = real(s, n)
         return v & (v - 1)
 
     monkeypatch.setattr(maxgen, "_rg_mask", drop_lowest_bit)
     rep = campaign.run_campaign(10, ["apery_reflected_gaps"], jobs=1)
     assert not rep.passed
     witnesses = _failed(rep, "apery_reflected_gaps")
+    assert witnesses and all(len(w) >= 2 for w in witnesses)
+
+
+def test_broken_carried_mirror_is_caught(monkeypatch):
+    # a child step that marks 0 as a gap in the mirror it carries: the
+    # canonical_gens verdict checks the mirror-read offsets against the PF
+    # mask reversed from the members
+    real = core._remove_generator
+
+    def zero_as_gap(s, a):
+        t = real(s, a)
+        return core.Semigroup(t.min_generators, t.conductor, t.members_mask,
+                              t.genus, t.frobenius, t.multiplicity,
+                              t.mirror | 1 << (t.conductor - 1))
+
+    monkeypatch.setattr(tree, "_remove_generator", zero_as_gap)
+    rep = campaign.run_campaign(10, ["canonical_gens"], jobs=1)
+    assert not rep.passed
+    witnesses = _failed(rep, "canonical_gens")
     assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 

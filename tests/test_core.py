@@ -14,11 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
-from numsgp import tree
+from numsgp import maxgen, tree
 from numsgp.core import (
     AperyTable,
     Semigroup,
     _add_frobenius,
+    _naturals,
     _remove_generator,
     _reverse,
     conductor_cap,
@@ -239,7 +240,7 @@ def test_remove_generator_children():
 
 def _fields(s):
     return (s.min_generators, s.conductor, s.members_mask, s.genus,
-            s.frobenius, s.multiplicity)
+            s.frobenius, s.multiplicity, s.mirror)
 
 
 def _child_reference(s, a):
@@ -295,6 +296,24 @@ def test_tree_steps_round_trip_large():
     sym = _remove_generator(mg, ae)
     assert _fields(sym) == _fields(_child_reference(mg, ae))
     assert _fields(_add_frobenius(sym)) == _fields(mg)
+
+
+def _mirror_reference(s):
+    # one bit per gap, set on its own: shares no logic with core._reverse
+    return sum(1 << (s.conductor - 1 - n) for n in s.gaps())
+
+
+def test_mirror_matches_per_bit_reference():
+    nodes = [_naturals()]
+    for s in tree.walk(14):
+        nodes.append(s)
+        if not s.is_trivial:
+            nodes.append(_add_frobenius(s))
+    nodes += [maxgen.notiz_family(m, f)
+              for m in range(3, 12) for f in range(m + 1, 60) if f % m]
+    for s in nodes:
+        assert s.mirror == _mirror_reference(s), s
+    assert len(nodes) > 2 * 4106
 
 
 def test_against_live_oracle_closure():
@@ -488,7 +507,7 @@ def test_construction_against_oracle(gens):
         assert s.type_number() == inv["type"]
     # the stored Apery set from the construction agrees with a fresh scan
     fresh = Semigroup(s.min_generators, s.conductor, s.members_mask,
-                      s.genus, s.frobenius, s.multiplicity)
+                      s.genus, s.frobenius, s.multiplicity, s.mirror)
     assert fresh.apery_set() == s.apery_set()
 
 

@@ -28,8 +28,7 @@ def S(*gens):
 
 def reflected_gaps(n, s):
     """RG(n, S) as a tuple, from the mask the campaign checks read."""
-    return tuple(_bit_positions(maxgen._rg_mask(s.members_mask, s.conductor,
-                                                n)))
+    return tuple(_bit_positions(maxgen._rg_mask(s, n)))
 
 
 def test_is_max_generated():
@@ -451,7 +450,7 @@ def test_reflection_masks_match_subset_oracle():
         gens = list(s.min_generators)
         f, m = s.frobenius, s.multiplicity
         for n in range(1, f + m + 3):
-            assert _bits(maxgen._rg_mask(s.members_mask, s.conductor, n)) \
+            assert _bits(maxgen._rg_mask(s, n)) \
                 == oracle.reflected_gaps(gens, n), (gens, n)
         _, offs = maxgen._canonical_masks(s)
         assert _bits(offs) == oracle.canonical_offsets(gens), gens
@@ -465,7 +464,7 @@ def test_reflection_masks_match_per_gap_loops():
         nodes += 1
         mask, c = s.members_mask, s.conductor
         for n in range(1, s.frobenius + s.multiplicity + 2):
-            assert maxgen._rg_mask(mask, c, n) == _rg_mask_loop(mask, c, n)
+            assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
         assert maxgen._canonical_masks(s) == _canonical_masks_loop(s)
         pf = _pf_mask(s)
         assert tuple(_bits(pf)) == s.pseudo_frobenius() == _pf_loop(s)
@@ -481,7 +480,7 @@ def test_reflection_masks_large_input():
               maxgen.from_symmetric(S(151, 200))):
         mask, c, f = s.members_mask, s.conductor, s.frobenius
         for n in (f, f + s.multiplicity):
-            assert maxgen._rg_mask(mask, c, n) == _rg_mask_loop(mask, c, n)
+            assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
         k, offs = maxgen._canonical_masks(s)
         assert offs == _canonical_masks_loop(s)[1]
         ideal = maxgen.canonical_ideal(s)
