@@ -1,26 +1,29 @@
 """Numerical semigroups: construction and the classical invariants.
 
 A numerical semigroup S is a subset of the nonnegative integers containing 0,
-closed under addition, with finite complement.  We store membership below the
-conductor c = F + 1 as a bitmask (bit n set iff n in S); everything from c on
-is in S by definition, so the mask plus the conductor determine S exactly.
+closed under addition, with finite complement.  Invariants follow the usual
+notation: gaps(S) is the complement, g = #gaps the genus, F the largest gap
+(Frobenius number), c = F + 1 the conductor, a_1 < ... < a_e the minimal
+generators, e the embedding dimension and m = a_1 the multiplicity.
 
-from_generators() is Apery-first: it computes the Apery set with respect to
-the smallest generator a_1 by round-robin shortest paths in O(e * a_1) steps
-(Boecker & Liptak, Algorithmica 2007), reads F = max Ap - a_1 and
-g = sum of floor(w / a_1) off it, checks the conductor cap, and only then
-builds the mask from the Apery entries by doubling shifts.  Lower bounds on
-the conductor are tested against the cap before the a_1-entry table is
-built.  The invariant scans (gaps, sporadic elements, Apery set,
-pseudo-Frobenius numbers) work on whole masks and extract bit positions in
-one linear pass, so a query costs O(e * a_1 + c).  A Semigroup is a value:
-seven construction-time fields plus the Apery table from_generators()
-built, kept because a mask rescan costs a tenth of a large query; all else
-is computed per call, and nothing writes to a Semigroup.  The seventh
-field, mirror, is the gap mask mirrored over c bits (bit c - 1 - n set iff
-n is a gap).  The reflections the checks test (RG(n, S), the canonical
-ideal K = {z : F - z not in S}, a child generator's minimality) read it
+A Semigroup stores four inputs: the minimal generators, c, the member mask
+(bit n set iff n < c is in S; every n >= c is) and the mirror, the gap mask
+mirrored over c bits (bit c - 1 - n set iff n is a gap).  The constructor
+derives g = c - #(members below c), F = c - 1 and m = a_1 from them; the
+trivial semigroup of all nonnegative integers has c = 0, F = -1, g = 0.
+The reflections the checks test (RG(n, S), the canonical ideal
+K = {z : F - z not in S}, a child generator's minimality) read the mirror
 shifted, instead of mirroring the gap mask again.
+
+from_generators() is Apery-first: it tests lower bounds on c against the
+conductor cap, then computes the Apery set with respect to a_1 by
+round-robin shortest paths in O(e * a_1) steps (Boecker & Liptak,
+Algorithmica 2007).  _from_apery() reads c = max Ap - a_1 + 1 off the
+table, checks the cap, and only then builds the mask by doubling shifts,
+and the mirror; it keeps the table, as a mask rescan costs a tenth of a
+large query.  The invariant scans (gaps, sporadic elements, Apery set,
+pseudo-Frobenius numbers) work on whole masks and extract bit positions in
+one linear pass, so a query costs O(e * a_1 + c).
 
 The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
@@ -30,17 +33,12 @@ Hivert, Math. Comp. 2016):
   generators are G minus {a}, plus a + m, plus a + m' when a = m, each of
   the two kept only if it is not a sum of two positive members of the child;
 - parent, S union {F} (_add_frobenius): the generators are {F} union G
-  minus {F + m, 2F}; the genus drops by one and m becomes min(m, F).
+  minus {F + m, 2F}.
 
 Each step carries the mirror with one shift.  The child's new gap a = c' - 1
 lands on bit 0 and every old gap moves up by c' - c.  The parent's gaps sit
 c - c' too high, and as c' <= F the shift down drops bit 0, the gap F that
 the parent lost.
-
-Invariants follow the usual notation: gaps(S) is the complement, g = #gaps
-the genus, F the largest gap (Frobenius number), m the least positive element
-(multiplicity), e the embedding dimension.  The trivial semigroup of all
-nonnegative integers has F = -1, c = 0, g = 0.
 """
 
 from __future__ import annotations
@@ -162,10 +160,10 @@ class Semigroup:
     """Immutable numerical semigroup: a value that nothing writes to.
 
     Not constructed directly; use from_generators().  Equality and hashing go
-    through the minimal generating set, which is unique.  It stores the seven
-    constructor arguments and from_generators()'s Apery table (None after a
-    tree step); every other invariant is computed per call.  mirror is the
-    gap mask mirrored over c bits: bit c - 1 - n is set iff n is a gap.
+    through the minimal generating set, which is unique.  Beside the four
+    inputs and the genus, frobenius and multiplicity derived from them (see
+    the module docstring) it keeps _from_apery()'s Apery table (None after a
+    tree step); every other invariant is computed per call.
     """
 
     __slots__ = (
@@ -179,15 +177,14 @@ class Semigroup:
         "_apery",
     )
 
-    def __init__(self, min_generators, conductor, members_mask, genus,
-                 frobenius, multiplicity, mirror):
+    def __init__(self, min_generators, conductor, members_mask, mirror):
         self.min_generators = min_generators
         self.conductor = conductor
         self.members_mask = members_mask
-        self.genus = genus
-        self.frobenius = frobenius
-        self.multiplicity = multiplicity
         self.mirror = mirror
+        self.genus = conductor - members_mask.bit_count()
+        self.frobenius = conductor - 1
+        self.multiplicity = min_generators[0]
         self._apery = None
 
     def __repr__(self) -> str:
@@ -264,7 +261,7 @@ class Semigroup:
 
 def _naturals() -> Semigroup:
     """The semigroup of all nonnegative integers."""
-    return Semigroup((1,), 0, 0, 0, -1, 1, 0)
+    return Semigroup((1,), 0, 0, 0)
 
 
 def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
@@ -326,10 +323,11 @@ def _mask_from_apery(apery: list[int], a1: int, conductor: int) -> int:
         if w < conductor:
             bits[w >> 3] |= 1 << (w & 7)
     mask = int.from_bytes(bits, "little")
-    limit = (1 << conductor) - 1
+    del bits
     step = a1
     while step < conductor:
-        mask |= (mask << step) & limit
+        # shift only the low c - step bits, the ones that land below c
+        mask |= (mask & ((1 << (conductor - step)) - 1)) << step
         step <<= 1
     return mask
 
@@ -392,14 +390,19 @@ def from_generators(values: Iterable[int]) -> Semigroup:
         raise ConductorCapExceeded(
             "conductor at least %d reaches the cap %d" % (floor, cap))
     apery, min_gens = _apery_round_robin(gens)
+    return _from_apery(apery, min_gens, cap)
+
+
+def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
+    """S from its Apery table w.r.t. a_1 = min_gens[0] and its minimal
+    generators; c = max Ap - a_1 + 1 is checked against cap first."""
+    a1 = min_gens[0]
     conductor = max(apery) - a1 + 1
     if conductor >= cap:
         raise ConductorCapExceeded(
             "conductor %d reaches the cap %d" % (conductor, cap))
-    # Selmer: g = sum of floor(w / a1), and entry r is congruent to r
-    genus = (sum(apery) - a1 * (a1 - 1) // 2) // a1
     mask = _mask_from_apery(apery, a1, conductor)
-    s = Semigroup(min_gens, conductor, mask, genus, conductor - 1, a1,
+    s = Semigroup(min_gens, conductor, mask,
                   _reverse(((1 << conductor) - 1) ^ mask, conductor))
     s._apery = AperyTable(a1, tuple(apery))
     return s
@@ -408,9 +411,10 @@ def from_generators(values: Iterable[int]) -> Semigroup:
 def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     """S without one minimal generator a, for a > F(S): the child step.
 
-    The genus goes up by one and F becomes a.  The other minimal generators
-    stay minimal.  A new one is a + v for a positive member v of S, and it
-    is at most F' + m' = a + m', so v = m, or v = m' when a = m.  Each
+    The child has conductor a + 1 and its mask lacks a, so g' = g + 1 and
+    F' = a.  The other minimal generators stay minimal.  A new one is a + v
+    for a positive member v of S, and it is at most F' + m' = a + m', so
+    v = m, or v = m' when a = m, found here for that candidate.  Each
     candidate t is minimal iff t - u is a gap of the child for every
     positive member u below t: the child's mirror shifted by t - a has bit
     t - n set iff n is a gap.
@@ -418,13 +422,12 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     conductor = a + 1
     child_mask = _extended_mask(s.members_mask, s.conductor,
                                 conductor - s.conductor) ^ (1 << a)
-    mult = s.multiplicity
-    candidates = [a + mult]
-    if a == mult:
+    m = s.multiplicity
+    candidates = [a + m]
+    if a == m:
         positives = child_mask & ~1
-        mult = ((positives & -positives).bit_length() - 1
-                if positives else conductor)
-        candidates.append(a + mult)
+        candidates.append(a + ((positives & -positives).bit_length() - 1
+                               if positives else conductor))
     mirror = (s.mirror << (conductor - s.conductor)) | 1
     gens = [x for x in s.min_generators if x != a]
     for t in candidates:
@@ -432,17 +435,16 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
         if not pos & ~(mirror << (t - a)):
             gens.append(t)
     gens.sort()
-    return Semigroup(tuple(gens), conductor, child_mask, s.genus + 1, a, mult,
-                     mirror)
+    return Semigroup(tuple(gens), conductor, child_mask, mirror)
 
 
 def _add_frobenius(s: Semigroup) -> Semigroup:
     """S union {F} for a nontrivial S: the parent step, inverse of the child
     step.
 
-    F becomes a minimal generator.  A minimal generator b of S stays minimal
-    unless b = 2F or b = F + v for a positive member v of S; as b <= F + m,
-    that means b = 2F or b = F + m.
+    F becomes a minimal generator and c drops to one past the largest gap
+    below F.  Another minimal generator b stays minimal unless b = 2F or
+    b = F + v for a positive v in S; as b <= F + m, b = 2F or b = F + m.
     """
     f = s.frobenius
     m = s.multiplicity
@@ -451,5 +453,4 @@ def _add_frobenius(s: Semigroup) -> Semigroup:
     conductor = (((1 << f) - 1) & ~s.members_mask).bit_length()
     return Semigroup(tuple(gens), conductor,
                      s.members_mask & ((1 << conductor) - 1),
-                     s.genus - 1, conductor - 1, min(m, f),
                      s.mirror >> (s.conductor - conductor))

@@ -15,7 +15,7 @@ class InvalidSemigroupInput(SemigroupError):
 
 
 class EmptyInput(InvalidSemigroupInput):
-    pass
+    """The generator list is empty."""
 
 
 class NonCoprime(InvalidSemigroupInput):
@@ -47,7 +47,7 @@ class EmbeddingDimTooSmall(PreconditionViolation):
 
 
 class GapTooSmall(PreconditionViolation):
-    pass
+    """The largest generator is below twice the multiplicity."""
 
 
 class BadParameters(PreconditionViolation):

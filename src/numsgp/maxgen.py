@@ -348,7 +348,8 @@ def notiz_family(m: int, f: int) -> Semigroup:
 
     Its Frobenius number is f and its largest minimal generator is f + m;
     it is max-generated exactly when f = m + 1.  Below c = f + 1 its
-    members are the multiples of m, so g = f - floor(f / m).
+    members are the multiples of m, so g = f - floor(f / m).  Core builds
+    it from the closed-form Apery table, checked first against the cap.
     """
     if m < 3:
         raise BadParameters("need m >= 3, got m = %d" % m)
@@ -361,8 +362,6 @@ def notiz_family(m: int, f: int) -> Semigroup:
     if c >= cap:
         raise ConductorCapExceeded("conductor %d reaches the cap %d"
                                    % (c, cap))
-    # the mirror's members sit at c - 1 - n for the multiples n of m, the
-    # class f mod m
-    return Semigroup((m,) + tuple(n for n in range(c, c + m) if n % m), c,
-                     core._mask_from_apery([0], m, c), f - f // m, f, m,
-                     ((1 << c) - 1) ^ core._mask_from_apery([f % m], m, c))
+    # the least member of class r > 0 is its generator in [c, c + m)
+    apery = [0] + [c + (r - c) % m for r in range(1, m)]
+    return core._from_apery(apery, (m,) + tuple(sorted(apery[1:])), cap)

@@ -294,7 +294,6 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
     def zero_as_gap(s, a):
         t = real(s, a)
         return core.Semigroup(t.min_generators, t.conductor, t.members_mask,
-                              t.genus, t.frobenius, t.multiplicity,
                               t.mirror | 1 << (t.conductor - 1))
 
     monkeypatch.setattr(tree, "_remove_generator", zero_as_gap)
@@ -302,6 +301,26 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
     assert not rep.passed
     witnesses = _failed(rep, "canonical_gens")
     assert witnesses and all(len(w) >= 2 for w in witnesses)
+
+
+def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
+    # the genus is derived from the member mask, not handed down from the
+    # parent: a child step that loses a member bit (here 0, which every
+    # descendant inherits) puts its whole subtree one genus too deep
+    real = core._remove_generator
+    max_genus = 10
+
+    def drop_zero(s, a):
+        t = real(s, a)
+        if t.genus >= max_genus - 1:
+            return t
+        return core.Semigroup(t.min_generators, t.conductor,
+                              t.members_mask & ~1, t.mirror)
+
+    monkeypatch.setattr(tree, "_remove_generator", drop_zero)
+    rep = campaign.run_campaign(max_genus, [], jobs=1)
+    assert rep.counts_by_genus != \
+        (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204)
 
 
 def test_broken_reverse_is_caught(monkeypatch):

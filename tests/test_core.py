@@ -7,6 +7,7 @@ differential tests re-run the oracle live on small instances.
 import copy
 import pickle
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -19,6 +20,8 @@ from numsgp.core import (
     AperyTable,
     Semigroup,
     _add_frobenius,
+    _apery_round_robin,
+    _mask_from_apery,
     _naturals,
     _remove_generator,
     _reverse,
@@ -180,6 +183,20 @@ def test_large_two_generator():
     s = from_generators([101, 103])
     assert s.frobenius == 101 * 103 - 101 - 103
     assert s.genus == 100 * 102 // 2
+
+
+def test_mask_from_apery_peak_memory():
+    # each doubling shift holds the mask and a few temporaries below c bits
+    apery, _ = _apery_round_robin([1001, 1003])
+    c = max(apery) - 1001 + 1
+    tracemalloc.start()
+    try:
+        mask = _mask_from_apery(apery, 1001, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask == from_generators([1001, 1003]).members_mask
+    assert peak < 4 * (c // 8), peak / (c // 8)
 
 
 def _slot_values(s):
@@ -507,7 +524,7 @@ def test_construction_against_oracle(gens):
         assert s.type_number() == inv["type"]
     # the stored Apery set from the construction agrees with a fresh scan
     fresh = Semigroup(s.min_generators, s.conductor, s.members_mask,
-                      s.genus, s.frobenius, s.multiplicity, s.mirror)
+                      s.mirror)
     assert fresh.apery_set() == s.apery_set()
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import subset_oracle as oracle
-from numsgp import maxgen, tree
+from numsgp import core, maxgen, tree
 from numsgp.core import _bit_positions, _pf_mask, from_generators
 from numsgp.errors import (
     BadParameters,
@@ -365,7 +365,7 @@ def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
     # notiz_family builds its result from the closed form; from_generators
     # on the same generators is the reference it must match
     fields = ("min_generators", "conductor", "members_mask", "genus",
-              "frobenius", "multiplicity")
+              "frobenius", "multiplicity", "mirror")
     for m in range(3, 25):
         for f in range(m + 1, 120):
             if f % m == 0:
@@ -375,6 +375,8 @@ def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
             for k in fields:
                 assert getattr(s, k) == getattr(t, k), (m, f, k)
             assert s.apery_set() == t.apery_set(), (m, f)
+            # the constructor derives the genus; this is its closed form
+            assert s.genus == f - f // m, (m, f)
     # the conductor cap applies as it does in from_generators
     monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", "50")
     assert maxgen.notiz_family(7, 48).conductor == 49
@@ -382,6 +384,21 @@ def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
         maxgen.notiz_family(8, 49)
     with pytest.raises(ConductorCapExceeded):
         from_generators([8] + list(range(50, 58)))
+
+
+def test_notiz_family_cap_checked_before_the_builder(monkeypatch):
+    # an over-cap input is refused before the O(m) Apery table is built
+    def unreachable(*args):
+        raise AssertionError("core._from_apery called")
+
+    monkeypatch.setattr(core, "_from_apery", unreachable)
+    monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", "1000")
+    with pytest.raises(ConductorCapExceeded):
+        maxgen.notiz_family(10 ** 6, 10 ** 6 + 1)
+    with pytest.raises(ConductorCapExceeded):
+        maxgen.notiz_family(7, 999)
+    with pytest.raises(AssertionError):
+        maxgen.notiz_family(7, 998)
 
 
 def test_interval_tails_are_max_generated():
