@@ -36,8 +36,8 @@ from multiprocessing import Pool
 from . import tree
 from .core import _naturals, _remove_generator
 from .errors import BoundTooLarge, UnknownProperty
-from .properties import (DOMAIN_KEYS, MAXGEN, PROPERTIES, ROWS, SYMMETRIC,
-                         TRIVIAL, correspondence_count_failures, domains)
+from .properties import (MAXGEN, PROPERTIES, SYMMETRIC, TRIVIAL,
+                         count_failures, domains, plan)
 
 #: The frontier starts at this genus, and the nodes there bound the pool.
 SPLIT_GENUS = 11
@@ -101,14 +101,10 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
     all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
     nodes each of names applied to; and (position in names, witness) pairs.
     The trivial semigroup is tallied as both a_e = 2g + 1 (1 = 2*0 + 1) and
-    symmetric (F + 1 = 0 = 2g).
+    symmetric (F + 1 = 0 = 2g).  Each domain key is planned when a node
+    first has it.
     """
-    index = {name: i for i, name in enumerate(names)}
-    rows = [(index[r.name], r.domain, r.applies, r.holds)
-            for r in ROWS if r.name in index]
-    plan = {key: tuple((i, applies, holds)
-                       for i, domain, applies, holds in rows if domain & key)
-            for key in DOMAIN_KEYS}
+    plans = {}
     n = max_genus + 1
     counts = [0] * n
     mg = [0] * n
@@ -123,7 +119,11 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
             mg[g] += 1
         if key & (TRIVIAL | SYMMETRIC):
             sym[g] += 1
-        for i, applies, holds in plan[key]:
+        try:
+            steps = plans[key]
+        except KeyError:
+            steps = plans[key] = plan(names, key)
+        for i, applies, holds in steps:
             if applies is None or applies(s):
                 checked[i] += 1
                 if not holds(s):
@@ -182,13 +182,8 @@ def resolve_properties(properties) -> tuple[str, ...]:
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
     """Check the selected properties on every semigroup of genus <= max_genus.
 
-    jobs > 1 runs a process pool of at most one worker per semigroup of
-    genus min(max_genus, SPLIT_GENUS).  The tree is cut at a frontier fixed
-    by max_genus: every node of lower genus is expanded, and so is a
-    deeper node below genus max_genus - UNIT_MARGIN with at least
-    MIN_CHILDREN children.  The expanded nodes and the frontier subtrees
-    are numbered in walk order; worker k tallies those numbered k mod the
-    pool size and returns one tally.  The report (wall time aside) does
+    jobs > 1 shares the tree among a process pool through the fixed
+    frontier of the module docstring.  The report (wall time aside) does
     not depend on the worker count.
     """
     if max_genus < 0:
@@ -218,10 +213,7 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
                                 for column in columns[:4])
     failures = [f for part in columns[4] for f in part]
 
-    if "correspondence" in names:
-        failures.extend((names.index("correspondence"), (g,))
-                        for g in correspondence_count_failures(mg, sym))
-
+    failures.extend(count_failures(names, mg, sym))
     failures = sorted((names[i], tuple(w)) for i, w in failures)
     return CampaignReport(
         max_genus=max_genus,

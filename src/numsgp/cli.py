@@ -101,31 +101,15 @@ def cmd_info(gens: list[int]) -> dict:
 
 
 def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
-    """Evaluate one property's registry rows on one semigroup.
-
-    The verdict, written here as holds, is the conjunction over the rows
-    whose domain contains the semigroup; the record is the first one's.
-    Outside every domain this raises the last row's precondition violation
-    (NotSymmetric for correspondence); the trivial-semigroup row is left to
-    campaigns, so every property raises IsTrivial on <1>.
-    """
+    """One property's verdict and record on one semigroup; see
+    numsgp.properties.check."""
     name = prop.replace("-", "_")
-    rows = [r for r in properties.ROWS
-            if r.name == name and r.domain != properties.TRIVIAL]
-    if not rows:
+    if name not in properties.PROPERTIES:
         raise ParseFailure("unknown property %r; known: %s"
                            % (prop, ", ".join(properties.PROPERTIES)))
-    s = from_generators(gens)
-    key = properties.domains(s)
-    rows_in = [r for r in rows if r.domain & key]
-    if not rows_in:
-        properties.REQUIRE[rows[-1].domain](s)
-    ok = all(r.holds(s) for r in rows_in if r.applies is None or r.applies(s))
-    row = rows_in[0]
-    result = row.record(s)
-    result["holds"] = ok
+    ok, result, provenance = properties.check(name, from_generators(gens))
     return (0 if ok else 1), _record("check:%s" % name, gens, result,
-                                     row.provenance)
+                                     provenance)
 
 
 def cmd_construct(kind: str, raw: str) -> dict:

@@ -110,11 +110,16 @@ def _reverse(v: int, n: int) -> int:
 
     One pass over the bytes of v: mirror the bits of each byte by table,
     read the bytes in the opposite order, and drop the padding bits that
-    the byte boundary added at the bottom.
+    the byte boundary added at the bottom.  Each n-bit intermediate is
+    dropped once it is read, so at most two are alive at a time.
     """
     k = (n + 7) >> 3
-    mirrored = v.to_bytes(k, "little").translate(_MIRRORED_BYTES)
-    return int.from_bytes(mirrored, "big") >> (8 * k - n)
+    data = v.to_bytes(k, "little")
+    del v
+    data = data.translate(_MIRRORED_BYTES)
+    v = int.from_bytes(data, "big")
+    del data
+    return v >> (8 * k - n)
 
 
 def _apery_mask(s: Semigroup) -> int:

@@ -25,12 +25,13 @@ give the same verdict.  Property names, in registry order:
 
 A row has a domain (see domains()), an optional applies(s) that narrows
 it, the verdict holds(s), and record(s), the `check` result fields less
-holds, which `check` writes, with the provenance string that goes beside
-them.  Records keep Fractions; the CLI encodes them.  Outside its domain a
-property is undefined; inside it but not applicable, it holds vacuously.
-correspondence has one row per side and one for the trivial semigroup,
-whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides and is
-checked from each.
+holds, with the provenance string that goes beside them.  Only this
+module reads the domains: `check` has one entry, check(), and campaigns
+use plan() and count_failures().  Records keep Fractions; the CLI encodes
+them.  Outside its domain a property is undefined; inside it but not
+applicable, it holds vacuously.  correspondence has one row per side and
+one for the trivial semigroup, whose partner is <2, 3>; a semigroup
+<2, 2g+1> is on both sides and is checked from each.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ from .core import Semigroup, _extended_mask, _pf_mask, _reverse
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
 TRIVIAL, ALL, MAXGEN, SYMMETRIC = 1, 2, 4, 8
-#: Every value domains() returns.
-DOMAIN_KEYS = (TRIVIAL, ALL, ALL | MAXGEN, ALL | SYMMETRIC,
-               ALL | MAXGEN | SYMMETRIC)
 
 
 def domains(s: Semigroup) -> int:
@@ -183,14 +181,15 @@ def _inequality_chain(s):
     return r.mult_form_holds and r.symmetric_form_holds and r.wilf_holds
 
 
-def correspondence_count_failures(mg: list, sym: list) -> list[int]:
-    """The genera g at which the campaign tallies break the correspondence.
-
-    It pairs the a_e = 2g + 1 semigroups of genus g with the symmetric ones
-    of genus g + 1, so the two counts agree.  The per-node round-trips
-    imply this; it is asserted on the merged tallies as well.
-    """
-    return [g for g in range(len(mg) - 1) if mg[g] != sym[g + 1]]
+def count_failures(names: tuple, mg: list, sym: list) -> list:
+    """(position in names, (g,)) for each genus g at which the merged
+    campaign tallies break a count identity of names: correspondence pairs
+    the a_e = 2g + 1 semigroups of genus g with the symmetric ones of genus
+    g + 1, as the per-node round-trips imply."""
+    if "correspondence" not in names:
+        return []
+    i = names.index("correspondence")
+    return [(i, (g,)) for g in range(len(mg) - 1) if mg[g] != sym[g + 1]]
 
 
 # -- check records ------------------------------------------------------------
@@ -306,3 +305,28 @@ ROWS = (
 )
 
 PROPERTIES = tuple(dict.fromkeys(row.name for row in ROWS))
+
+
+def plan(names: tuple, key: int) -> tuple:
+    """(position in names, applies, holds) of each row of the properties
+    names whose domain meets the domain key, in registry order."""
+    index = {name: i for i, name in enumerate(names)}
+    return tuple((index[r.name], r.applies, r.holds) for r in ROWS
+                 if r.name in index and r.domain & key)
+
+
+def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:
+    """The verdict of property name on s, its record and the provenance:
+    the conjunction over the rows whose domain contains s, and the first
+    one's record with the verdict written in as holds.  Outside every
+    domain this raises the last row's precondition violation (NotSymmetric
+    for correspondence); the trivial-semigroup row is left to campaigns, so
+    every property raises IsTrivial on <1>."""
+    rows = [r for r in ROWS if r.name == name and r.domain != TRIVIAL]
+    rows_in = [r for r in rows if r.domain & domains(s)]
+    if not rows_in:
+        REQUIRE[rows[-1].domain](s)
+    ok = all(r.holds(s) for r in rows_in if r.applies is None or r.applies(s))
+    record = rows_in[0].record(s)
+    record["holds"] = ok
+    return ok, record, rows_in[0].provenance

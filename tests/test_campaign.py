@@ -188,6 +188,39 @@ def test_shares_partition_the_tree(monkeypatch):
                                 if s.genus == split}
 
 
+def test_unseen_domain_key_is_planned(monkeypatch):
+    # a domain key no row was written for is planned when a node first has
+    # it: an unused flag in every nontrivial key leaves the report as it was
+    assert not any(row.domain & 16 for row in properties.ROWS)
+    want = campaign.run_campaign(10, "all", 1).to_json(include_wall_time=False)
+    real = campaign.domains
+
+    def with_unused_flag(s):
+        key = real(s)
+        return key if key == properties.TRIVIAL else key | 16
+
+    monkeypatch.setattr(campaign, "domains", with_unused_flag)
+    got = campaign.run_campaign(10, "all", 1).to_json(include_wall_time=False)
+    assert got == want
+
+
+def test_broken_count_identity_filed_under_correspondence(monkeypatch):
+    # <3, 5> (genus 4) left out of the symmetric tally breaks the count
+    # identity at genus 3; the witness is the genus, under correspondence
+    real = campaign.domains
+
+    def unsymmetric_3_5(s):
+        key = real(s)
+        if s.min_generators == (3, 5):
+            return key & ~properties.SYMMETRIC
+        return key
+
+    monkeypatch.setattr(campaign, "domains", unsymmetric_3_5)
+    rep = campaign.run_campaign(8, ["wilf", "correspondence"], 1)
+    assert rep.property_failures == (("correspondence", (3,)),)
+    assert campaign.run_campaign(8, ["wilf"], 1).passed
+
+
 def test_frontier_deepens_with_the_bound(monkeypatch):
     # units and above-frontier nodes at three genus bounds
     roots = []

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,26 @@ def test_check_passing_properties(capsys):
         code, rec = run_json(capsys, "check", prop, gens)
         assert code == 0, (prop, gens, rec)
         assert rec["command"] == "check:%s" % prop
+
+
+#: Whole `check` outputs, by argv: the exit code, stdout and stderr.
+#: Rewrite the file only with an output change that is meant.
+CHECK_GOLDEN = {tuple(case["argv"]): case for case in json.loads(
+    (Path(__file__).parent / "check_golden.json").read_text(encoding="utf-8"))}
+#: The fixtures, every property on the trivial semigroup, and <3, 7, 8>,
+#: which is in neither family.
+GOLDEN_ARGVS = (
+    [("check", p, g) for p, g in CHECK_FIXTURES.items()]
+    + [("check", p, "1") for p in properties.PROPERTIES]
+    + [("check", p, "3,7,8")
+       for p in ("frobenius_formula", "sym_generators", "correspondence")])
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_check_golden_output(argv, capsys):
+    case = CHECK_GOLDEN[argv]
+    assert run(capsys, *argv) == (case["exit"], case["stdout"],
+                                  case["stderr"])
 
 
 def test_check_hyphenated_name(capsys):

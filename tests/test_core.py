@@ -199,6 +199,19 @@ def test_mask_from_apery_peak_memory():
     assert peak < 4 * (c // 8), peak / (c // 8)
 
 
+def test_from_generators_peak_memory():
+    # the mirror's reversal drops each c-bit intermediate once it is read
+    tracemalloc.start()
+    try:
+        s = from_generators([1001, 1003])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c = s.conductor
+    assert c == 1002 * 1000
+    assert peak < 4 * (c // 8), peak / (c // 8)
+
+
 def _slot_values(s):
     return [getattr(s, name) for name in Semigroup.__slots__]
 
