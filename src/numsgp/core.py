@@ -81,6 +81,8 @@ def conductor_cap() -> int:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 #: Byte b maps to b with its eight bits mirrored.
 _MIRRORED_BYTES = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
+#: Byte b maps to the complement of b with its eight bits mirrored.
+_MIRRORED_COMPLEMENTS = bytes(255 - b for b in _MIRRORED_BYTES)
 
 
 def _extended_mask(mask: int, conductor: int, k: int) -> int:
@@ -105,18 +107,20 @@ def _bit_positions(v: int) -> list[int]:
     return out
 
 
-def _reverse(v: int, n: int) -> int:
-    """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n.
+def _reverse(v: int, n: int, complement: bool = False) -> int:
+    """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n;
+    with complement, the mirror of (2**n - 1) ^ v.
 
-    One pass over the bytes of v: mirror the bits of each byte by table,
-    read the bytes in the opposite order, and drop the padding bits that
-    the byte boundary added at the bottom.  Each n-bit intermediate is
-    dropped once it is read, so at most two are alive at a time.
+    One pass over the bytes of v: mirror (and complement) the bits of each
+    byte by table, read the bytes in the opposite order, and drop the
+    padding bits that the byte boundary added at the bottom.  Each n-bit
+    intermediate is dropped once read, so with v at most three are alive,
+    and a caller that complements a mask it keeps passes no temporary.
     """
     k = (n + 7) >> 3
     data = v.to_bytes(k, "little")
-    del v
-    data = data.translate(_MIRRORED_BYTES)
+    data = data.translate(_MIRRORED_COMPLEMENTS if complement
+                          else _MIRRORED_BYTES)
     v = int.from_bytes(data, "big")
     del data
     return v >> (8 * k - n)
@@ -408,7 +412,7 @@ def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
             "conductor %d reaches the cap %d" % (conductor, cap))
     mask = _mask_from_apery(apery, a1, conductor)
     s = Semigroup(min_gens, conductor, mask,
-                  _reverse(((1 << conductor) - 1) ^ mask, conductor))
+                  _reverse(mask, conductor, complement=True))
     s._apery = AperyTable(a1, tuple(apery))
     return s
 
