@@ -7,18 +7,12 @@ parts are summed column-wise once and the failures sorted, so the report
 is byte-identical for any worker count; failures carry the minimal
 generator list of the offending semigroup as a witness.
 
-One worker tallies tree.walk in this process.  More workers share the tree
-through a fixed frontier that depends only on the genus bound G.  Every
-node of genus below split = min(G, SPLIT_GENUS) is expanded; a node of
-genus split or more is expanded too while its genus is below
-G - UNIT_MARGIN and it has at least MIN_CHILDREN children.  The nodes
-that are not expanded are the frontier.  The nodes above it and the
-frontier subtrees (the units) are numbered in walk order, and worker k of
-J tallies the items numbered k mod J: a unit's whole subtree, an
-above-frontier node alone.  Each worker walks the part above the frontier
-itself and returns one tally, so only integers go to the pool and no
-semigroup crosses it.  The pool has at most one worker per node at genus
-split.
+One worker tallies tree.walk in this process.  More workers, min(jobs,
+CPUs, items) of them, share the tree: the items are the nodes of genus
+below G - UNIT_MARGIN, each alone, and the nodes of genus G - UNIT_MARGIN
+(the root when G <= UNIT_MARGIN) with their subtrees.  Worker k of J
+builds the nodes above that genus, tallies the items numbered k mod J in
+walk order and returns one tally, so only integers cross the pool.
 
 The checks themselves, and the names accepted by run_campaign and the CLI,
 are the rows of :mod:`numsgp.properties`.
@@ -27,10 +21,12 @@ are the rows of :mod:`numsgp.properties`.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 
 from . import tree
@@ -39,12 +35,8 @@ from .errors import BoundTooLarge, UnknownProperty
 from .properties import (MAXGEN, PROPERTIES, SYMMETRIC, TRIVIAL,
                          count_failures, domains, plan)
 
-#: The frontier starts at this genus, and the nodes there bound the pool.
-SPLIT_GENUS = 11
-#: Frontier nodes below genus max_genus - UNIT_MARGIN are expanded further
-#: when they have at least MIN_CHILDREN children.
+#: The units of a shared campaign are the nodes this far above the bound.
 UNIT_MARGIN = 4
-MIN_CHILDREN = 3
 
 
 @dataclass(frozen=True)
@@ -132,26 +124,30 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
 
 
 def _share(max_genus: int, jobs: int, k: int):
-    """Worker k's share, of jobs, of the genus tree up to max_genus: the
-    above-frontier nodes and the frontier subtrees numbered k mod jobs in
-    walk order (see the module docstring)."""
-    split = min(max_genus, SPLIT_GENUS)
+    """Worker k's share, of jobs, of the genus tree up to max_genus (see
+    the module docstring).  A node's genus says whether its children head
+    items, so only the worker that tallies such a child builds it."""
     deep = max_genus - UNIT_MARGIN
+    if deep <= 0:
+        if k == 0:
+            yield from tree.walk(max_genus, _naturals())
+        return
     stack = [_naturals()]
     n = 0
     while stack:
         s = stack.pop()
+        if n % jobs == k:
+            yield s
+        n += 1
         f = s.frobenius
         kids = [a for a in s.min_generators if a > f]
-        mine = n % jobs == k
-        n += 1
-        if s.genus < split or (s.genus < deep
-                               and len(kids) >= MIN_CHILDREN):
-            if mine:
-                yield s
+        if s.genus < deep - 1:
             stack.extend(_remove_generator(s, a) for a in kids)
-        elif mine:
-            yield from tree.walk(max_genus, s)
+        else:
+            for a in reversed(kids):
+                if n % jobs == k:
+                    yield from tree.walk(max_genus, _remove_generator(s, a))
+                n += 1
 
 
 def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
@@ -182,9 +178,8 @@ def resolve_properties(properties) -> tuple[str, ...]:
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
     """Check the selected properties on every semigroup of genus <= max_genus.
 
-    jobs > 1 shares the tree among a process pool through the fixed
-    frontier of the module docstring.  The report (wall time aside) does
-    not depend on the worker count.
+    jobs > 1 shares the tree among a process pool as the module docstring
+    says.  The report (wall time aside) does not depend on the worker count.
     """
     if max_genus < 0:
         raise ValueError("max_genus must be nonnegative")
@@ -196,10 +191,10 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     names = resolve_properties(properties)
 
     t0 = time.perf_counter()
-    workers = 1
-    if jobs > 1:
-        split = min(max_genus, SPLIT_GENUS)
-        workers = min(jobs, sum(s.genus == split for s in tree.walk(split)))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        items = tree.walk(max(max_genus - UNIT_MARGIN, 0))
+        workers = sum(1 for _ in islice(items, workers))
     if workers == 1:
         parts = [_tally(tree.walk(max_genus), max_genus, names)]
     else:

@@ -174,13 +174,16 @@ def cmd_construct(kind: str, raw: str) -> dict:
 
 
 def _print_verify_table(report: campaign.CampaignReport) -> None:
-    print("genus  count  maxgen  symmetric")
-    for g in range(report.max_genus + 1):
-        print("%5d  %5d  %6d  %9d"
-              % (g, report.counts_by_genus[g],
-                 report.maxgen_counts_by_genus[g],
-                 report.symmetric_counts_by_genus[g]))
-    print("total  %5d" % report.total)
+    # each column as wide as its header or its widest per-genus entry
+    columns = (("genus", range(report.max_genus + 1)),
+               ("count", report.counts_by_genus),
+               ("maxgen", report.maxgen_counts_by_genus),
+               ("symmetric", report.symmetric_counts_by_genus))
+    widths = [max(len(str(v)) for v in (name, *values))
+              for name, values in columns]
+    for row in zip(*([name, *values] for name, values in columns)):
+        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+    print("total  %*d" % (widths[1], report.total))
     print("properties: %s" % ", ".join(report.properties))
     print("checked: %s" % ", ".join("%s=%d" % kv for kv in report.checked))
     if report.passed:
@@ -268,7 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-genus", type=int, required=True)
     p.add_argument("--properties", default="all",
                    help="comma-separated check names, or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count and the "
+                        "work items (default 1)")
     p.add_argument("--out", default=None,
                    help="also write the JSON report to this path")
     return parser

@@ -282,13 +282,9 @@ def maxgen_inequality_chain(s: Semigroup) -> InequalityChain:
     if e <= 2:
         raise EmbeddingDimTooSmall(
             "inequality chain needs e > 2, got e = %d" % e)
-    g = s.genus
-    sp = to_symmetric(s)
-    ep = len(sp.min_generators)
     return InequalityChain(
-        mult_form_holds=(s.multiplicity - 2) * (e - 1) <= (e - 2) * g,
-        symmetric_form_holds=(sp.genus - 1) * (ep - 1)
-                             >= (sp.multiplicity - 2) * ep,
+        mult_form_holds=(s.multiplicity - 2) * (e - 1) <= (e - 2) * s.genus,
+        symmetric_form_holds=_genus_bound_forms(to_symmetric(s))[0],
         wilf_holds=_wilf_holds(s),
     )
 

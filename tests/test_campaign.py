@@ -118,11 +118,21 @@ def test_parallel_serial_byte_identical():
     assert a == b
 
 
-def test_parallel_small_bounds():
-    # frontier deeper than the whole tree: every subtree is a single leaf
+def test_parallel_small_bounds(monkeypatch):
+    # genus 3 runs in this process; genus 5 is the smallest bound that
+    # starts a pool: the root and the one unit <2, 3>
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     rep = campaign.run_campaign(3, "all", jobs=2)
     assert rep.counts_by_genus == (1, 1, 2, 4)
     assert rep.passed
+    rep = campaign.run_campaign(5, "all", jobs=2)
+    assert rep.counts_by_genus == (1, 1, 2, 4, 7, 12)
+    assert rep.passed
+
+
+def _items(max_genus):
+    """The items of a shared campaign: the nodes of genus <= G - 4."""
+    return sum(1 for _ in tree.walk(max_genus - campaign.UNIT_MARGIN))
 
 
 def test_pool_no_larger_than_work(monkeypatch):
@@ -144,11 +154,15 @@ def test_pool_no_larger_than_work(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(campaign, "Pool", FakePool)
-    for max_genus, jobs, want in ((0, 8, []), (1, 64, []), (2, 64, [2]),
-                                  (3, 64, [4]), (11, 3, [3])):
+    assert [_items(g) for g in (5, 6, 7, 8)] == [2, 4, 8, 15]
+    for cpus, max_genus, jobs, want in (
+            (8, 0, 8, []), (8, 4, 64, []), (8, 5, 64, [2]), (8, 6, 64, [4]),
+            (8, 7, 64, [8]), (8, 8, 64, [8]), (8, 11, 3, [3]),
+            (3, 11, 64, [3]), (1, 11, 64, []), (None, 11, 64, [])):
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
         sizes.clear()
         rep = campaign.run_campaign(max_genus, "all", jobs)
-        assert sizes == want, (max_genus, jobs)
+        assert sizes == want, (cpus, max_genus, jobs)
         assert rep.to_json(include_wall_time=False) == campaign.run_campaign(
             max_genus, "all", 1).to_json(include_wall_time=False)
 
@@ -171,7 +185,7 @@ def _dealt(monkeypatch, max_genus, jobs):
 
 def test_shares_partition_the_tree(monkeypatch):
     # every node lands in exactly one share, and the frontier depends on
-    # the genus bound alone
+    # the genus bound alone: the units are the nodes of genus max(G - 4, 0)
     for max_genus in range(17):
         whole = Counter(s.min_generators for s in tree.walk(max_genus))
         frontier = None
@@ -181,11 +195,36 @@ def test_shares_partition_the_tree(monkeypatch):
             assert len(set(roots)) == len(roots)
             assert frontier in (None, set(roots)), (max_genus, jobs)
             frontier = set(roots)
-        if max_genus <= 15:
-            # no deeper than the nodes at genus min(G, 11)
-            split = min(max_genus, campaign.SPLIT_GENUS)
-            assert frontier == {s.min_generators for s in tree.walk(split)
-                                if s.genus == split}
+        deep = max(max_genus - campaign.UNIT_MARGIN, 0)
+        assert frontier == {s.min_generators for s in tree.walk(deep)
+                            if s.genus == deep}, max_genus
+
+
+def test_each_unit_is_built_once(monkeypatch):
+    # every share builds the expanded nodes, but a unit and its subtree
+    # only in the share that tallies it: J (E - 1) + (T - E) child steps in
+    # all, for E nodes of genus below G - 4 and T in the tree
+    calls = Counter()
+    step = campaign._remove_generator
+
+    def counted(s, a):
+        calls["step"] += 1
+        return step(s, a)
+
+    monkeypatch.setattr(campaign, "_remove_generator", counted)
+    monkeypatch.setattr(tree, "_remove_generator", counted)
+    for max_genus in (12, 16):
+        genera = Counter(s.genus for s in tree.walk(max_genus))
+        whole = sum(genera.values())
+        expanded = sum(n for g, n in genera.items()
+                       if g < max_genus - campaign.UNIT_MARGIN)
+        for jobs in (2, 3):
+            calls.clear()
+            for k in range(jobs):
+                for _ in campaign._share(max_genus, jobs, k):
+                    pass
+            assert calls["step"] == (jobs * (expanded - 1)
+                                     + whole - expanded), (max_genus, jobs)
 
 
 def test_unseen_domain_key_is_planned(monkeypatch):
@@ -222,19 +261,21 @@ def test_broken_count_identity_filed_under_correspondence(monkeypatch):
 
 
 def test_frontier_deepens_with_the_bound(monkeypatch):
-    # units and above-frontier nodes at three genus bounds
+    # units (the nodes of genus G - 4) and above-frontier nodes at three
+    # genus bounds
     roots = []
     monkeypatch.setattr(tree, "walk",
                         lambda g, start: roots.append(start) or iter(()))
-    for max_genus, units, above in ((16, 646, 566), (19, 3549, 1403),
-                                    (21, 10310, 3325)):
+    for max_genus, units, above in ((16, 592, 821), (19, 2857, 4107),
+                                    (21, 8045, 11770)):
         roots.clear()
         assert sum(1 for _ in campaign._share(max_genus, 1, 0)) == above
         assert len(roots) == units
 
 
-def test_refined_frontier_byte_identical():
-    # genus 16 is the first bound whose frontier goes below genus 11
+def test_refined_frontier_byte_identical(monkeypatch):
+    # the genus-16 frontier: 592 units at genus 12 under 821 nodes
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
     reports = {campaign.run_campaign(16, "all", jobs).to_json(
         include_wall_time=False) for jobs in (1, 2, 3)}
     assert len(reports) == 1
@@ -245,6 +286,7 @@ def test_refined_frontier_failures_merge(monkeypatch):
     # workers see the broken row only when forked
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers are not forked")
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
     for row in properties.ROWS:
         if row.name == "type":
             monkeypatch.setattr(row, "holds", lambda s: False)
@@ -257,10 +299,12 @@ def test_refined_frontier_failures_merge(monkeypatch):
     assert three.property_failures == one.property_failures
 
 
-def test_pool_capped_by_the_split_genus(monkeypatch):
-    # the frontier below genus 11 has more units than genus 11 has nodes,
-    # yet any jobs asks for at most min(jobs, nodes at genus min(G, 11))
+def test_pool_capped_by_the_cpus(monkeypatch):
+    # any jobs asks for at most min(jobs, CPUs, nodes of genus <= G - 4),
+    # counted without building more nodes than that, and G <= 4 starts no
+    # pool
     sizes = []
+    built = Counter()
 
     class Asked(Exception):
         pass
@@ -272,14 +316,29 @@ def test_pool_capped_by_the_split_genus(monkeypatch):
             sizes.append(n)
             raise Asked
 
+    walk = tree.walk
+
+    def counted(max_genus, start=None):
+        for s in walk(max_genus, start):
+            built["nodes"] += 1
+            yield s
+
     monkeypatch.setattr(campaign, "Pool", FakePool)
-    width = Counter(s.genus for s in tree.walk(campaign.SPLIT_GENUS))
-    assert width[11] == 343
-    for max_genus in (2, 5, 11, 12, 16, 19, 21):
-        for jobs in (3, 10_000):
-            with pytest.raises(Asked):
-                campaign.run_campaign(max_genus, ["wilf"], jobs)
-            assert sizes.pop() == min(jobs, width[min(max_genus, 11)])
+    monkeypatch.setattr(tree, "walk", counted)
+    for cpus in (2, 6):
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        for max_genus in (2, 4):
+            for jobs in (3, 10_000):
+                assert campaign.run_campaign(max_genus, ["wilf"], jobs).passed
+        for max_genus in (5, 6, 11, 12, 16, 19, 21):
+            items = _items(max_genus)
+            for jobs in (3, 10_000):
+                built.clear()
+                with pytest.raises(Asked):
+                    campaign.run_campaign(max_genus, ["wilf"], jobs)
+                assert sizes.pop() == min(jobs, cpus, items)
+                assert built["nodes"] <= cpus
+    assert not sizes
 
 
 def test_report_json_shape(report12):
@@ -395,3 +454,54 @@ def test_single_definition_reaches_both_commands(prop, monkeypatch, capsys):
     assert _failed(rep, prop)
     assert cli.main(["check", prop, CHECK_FIXTURES[prop]]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
+
+
+#: Each row's `check` record fields that must all equal its verdict.
+RECORD_VERDICTS = {
+    "wilf": lambda r: (r["holds"], r["count_form_holds"]),
+    "wilf_equality": lambda r: (r["margin_zero"],),
+    "apery_reflected_gaps": lambda r: (r["equivalent"],),
+    "frobenius_formula": lambda r: (
+        r["frobenius"] == r["largest_generator"] - r["multiplicity"],),
+    "pf_formula": lambda r: (r["pf"] == r["expected"],),
+    "type": lambda r: (r["type"] == r["embedding_dimension"] - 1,),
+    "reflection_bijection": lambda r: (r["image"] == r["gaps"],),
+    "sym_generators": lambda r: (r["largest_generator"] < r["frobenius"],),
+    "genus_bound": lambda r: (r["bound_holds"] and r["count_form_holds"],),
+    "inequality_chain": lambda r: (r["mult_form_holds"]
+                                   and r["symmetric_form_holds"]
+                                   and r["wilf_holds"],),
+}
+#: Rows whose verdict has clauses the record leaves out: the verdict
+#: implies what the record shows, not the other way round.
+RECORD_IMPLIED = {
+    "canonical_gens": lambda r: r["offsets"] == r["expected"],
+    "correspondence": lambda r: r["round_trip"],
+    "closed_gap_wilf": lambda r: ((r["wilf"] is None or r["wilf"]["holds"])
+                                  and r["pf_match"] is not False),
+}
+
+
+def test_check_records_agree_with_the_verdicts():
+    # `check` takes its verdict from holds and its fields from record, two
+    # computations per row; they agree on every applicable row of every
+    # node of genus <= 10
+    rows = [r for r in properties.ROWS if r.record is not None]
+    assert ({r.name for r in rows}
+            == RECORD_VERDICTS.keys() | RECORD_IMPLIED.keys())
+    seen = Counter()
+    for s in tree.walk(10):
+        key = properties.domains(s)
+        for row in rows:
+            if not row.domain & key or not (row.applies is None
+                                             or row.applies(s)):
+                continue
+            holds, record = row.holds(s), row.record(s)
+            where = (row.name, s.min_generators)
+            if row.name in RECORD_VERDICTS:
+                assert all(v == holds
+                           for v in RECORD_VERDICTS[row.name](record)), where
+            else:
+                assert not holds or RECORD_IMPLIED[row.name](record), where
+            seen[row.name] += 1
+    assert seen.keys() == {r.name for r in rows}

@@ -226,6 +226,33 @@ def test_verify_table_output(capsys):
     assert "total     50" in out
 
 
+def test_verify_table_widens_past_genus_21(capsys):
+    # genus 22 has 103,246 semigroups: each column widens to its widest
+    # entry, and a report whose entries fit is printed as it always was
+    def table(counts, maxgen, symmetric):
+        report = campaign.CampaignReport(
+            max_genus=len(counts) - 1, properties=("wilf",),
+            counts_by_genus=counts, maxgen_counts_by_genus=maxgen,
+            symmetric_counts_by_genus=symmetric,
+            checked=(("wilf", sum(counts) - 1),), property_failures=(),
+            wall_time=0.5)
+        cli._print_verify_table(report)
+        return capsys.readouterr().out.splitlines()
+
+    lines = table((1, 1234567, 2), (1, 12, 3456789), (1, 1, 7654321))
+    assert lines[:5] == ["genus    count   maxgen  symmetric",
+                         "    0        1        1          1",
+                         "    1  1234567       12          1",
+                         "    2        2  3456789    7654321",
+                         "total  1234570"]
+    assert table((1, 1, 2), (1, 1, 2), (1, 1, 1))[:5] == [
+        "genus  count  maxgen  symmetric",
+        "    0      1       1          1",
+        "    1      1       1          1",
+        "    2      2       2          1",
+        "total      4"]
+
+
 def test_verify_genus_zero(capsys):
     code, out, _ = run(capsys, "verify", "--max-genus", "0")
     assert code == 0
