@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 
 from . import campaign, maxgen, properties
 from .core import from_generators
@@ -73,7 +74,7 @@ def _emit(record: dict, fmt: str) -> None:
         for k, v in record["result"].items():
             print("%s: %s" % (k, json.dumps(v, default=_fraction)))
     else:
-        w = csv.writer(sys.stdout)
+        w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["field", "value"])
         for k, v in record["result"].items():
             w.writerow([k, json.dumps(v, default=_fraction)])
@@ -238,7 +239,10 @@ def cmd_verify(max_genus: int, properties, jobs: int,
     return 0 if report.passed else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first main() call:
+    parse_args keeps no state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="numsgp",
         description="numerical semigroup invariants, constructions, and "
@@ -280,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     fmt = "jsonl" if args.json else (args.format or "jsonl")
     try:
         if args.subcommand == "info":

@@ -328,9 +328,8 @@ def _mask_from_apery(apery: list[int], a1: int, conductor: int) -> int:
     one: after shifts by a1, 2 a1, 4 a1, ... every w + k a1 < c is present.
     """
     bits = bytearray((conductor >> 3) + 1)
-    for w in apery:
-        if w < conductor:
-            bits[w >> 3] |= 1 << (w & 7)
+    for w in filter(conductor.__gt__, apery):
+        bits[w >> 3] |= 1 << (w & 7)
     mask = int.from_bytes(bits, "little")
     del bits
     step = a1

@@ -358,6 +358,10 @@ def notiz_family(m: int, f: int) -> Semigroup:
     if c >= cap:
         raise ConductorCapExceeded("conductor %d reaches the cap %d"
                                    % (c, cap))
-    # the least member of class r > 0 is its generator in [c, c + m)
-    apery = [0] + [c + (r - c) % m for r in range(1, m)]
-    return core._from_apery(apery, (m,) + tuple(sorted(apery[1:])), cap)
+    # the least member of class r > 0 is its generator in [c, c + m): the
+    # table is [c, c + m) rotated so that c + k, the multiple of m, comes
+    # first, and that entry is 0
+    k = -c % m
+    apery = [0, *range(c + k + 1, c + m), *range(c, c + k)]
+    return core._from_apery(apery, (m, *range(c, c + k),
+                                    *range(c + k + 1, c + m)), cap)

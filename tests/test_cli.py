@@ -1,9 +1,15 @@
 """CLI surface: records, formats, exit codes, and the verify front end."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +216,20 @@ def test_csv_format(capsys):
     assert code == 0
     rows = dict(csv.reader(io.StringIO(out)))
     assert json.loads(rows["wilf"])["margin"] == {"num": 0, "den": 1}
+
+
+@pytest.mark.parametrize("argv", [("info", "3,5,7"),
+                                  ("check", "wilf", "3,5,7"),
+                                  ("check", "correspondence", "3,5")])
+def test_csv_lines_end_in_newline(argv, capsys):
+    # every line numsgp prints ends in "\n", csv records included
+    _, rec = run_json(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert "\r" not in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["field", "value"]
+    assert {k: json.loads(v) for k, v in rows[1:]} == rec["result"]
 
 
 def test_json_flag_shorthand(capsys):
@@ -440,3 +460,107 @@ def test_check_domain_sweep():
             with pytest.raises(PreconditionViolation) as info:
                 cli.cmd_check(prop, gens)
             assert type(info.value) is want, (prop, gens)
+
+
+#: Calls through one parser: every subcommand and format, then, amid calls
+#: that parse, usage errors that raise SystemExit(2) inside parse_args and
+#: --help, which raises SystemExit(0).
+PARSER_SEQUENCE = (
+    ("info", "3,5,7"),
+    ("info", "3,5,7", "--format", "table"),
+    ("info", "2,3", "--format", "csv"),
+    ("check", "wilf", "3,5,7"),
+    ("check", "canonical_gens", "3,4", "--format", "table"),
+    ("check", "correspondence", "3,5", "--format", "csv"),
+    ("check", "no_such_property", "3,5,7"),
+    ("construct", "close-gap", "3,5,7"),
+    ("construct", "notiz-family", "4,7", "--json"),
+    ("construct", "no-such-kind", "3,5"),
+    ("check", "wilf"),
+    ("info", "-3"),
+    ("--help",),
+    ("verify", "--help"),
+    ("info", "3,5,7"),
+    ("verify", "--max-genus", "6", "--format", "csv"),
+    ("verify", "--max-genus", "5", "--json"),
+    ("verify", "--max-genus", "4"),
+    (),
+    ("no-such-subcommand", "3,5"),
+    ("info", "3,5,7", "--format", "xml"),
+    ("verify", "--max-genus", "x"),
+    ("check", "wilf", "3,5,7", "--json"),
+    ("info", "6,9"),
+    ("check", "frobenius_formula", "3,7,8"),
+    ("construct", "to-symmetric", "3,5,7", "--format", "table"),
+    ("construct", "from-symmetric", "3,4", "--format", "csv"),
+    ("info", "3,5,7", "--no-such-flag"),
+)
+
+
+def _call(argv):
+    """Exit code, stdout and stderr of one main() call, wall time removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = re.sub(r'"wall_time": [^,}]*|\(\d+\.\d+s\)', "", out.getvalue())
+    return code, text, err.getvalue()
+
+
+def _fresh_call(argv):
+    cli._build_parser.cache_clear()
+    return _call(argv)
+
+
+def test_shared_parser_matches_a_fresh_one():
+    # a failed parse or --help leaves the shared parser as a new one
+    fresh = [_fresh_call(argv) for argv in PARSER_SEQUENCE]
+    assert [code for code, _, _ in fresh] == [
+        0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 2, 2, 0, 0,
+        0, 0, 0, 0, 2, 2, 2, 2, 0, 3, 4, 0, 0, 2]
+    # seven argparse rejections, and two --help pages
+    assert sum(err.startswith("usage: ") for _, _, err in fresh) == 7
+    assert sum(out.startswith("usage: ") for _, out, _ in fresh) == 2
+    for _ in range(2):
+        assert [_call(argv) for argv in PARSER_SEQUENCE] == fresh
+
+
+def test_parser_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert _call(("check", "wilf", "3,5,7"))[0] == 0
+        assert len(built) == 6  # numsgp, the --format parent, 4 subcommands
+        assert _call(("info", "3,5,7"))[0] == 0
+        assert _call(("info", "3,5,7", "--no-such-flag"))[0] == 2
+        assert len(built) == 6
+    finally:
+        cli._build_parser.cache_clear()
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import numsgp.cli\n"
+        "print(len(built), numsgp.cli._build_parser.cache_info().currsize)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.split() == ["0", "0"]

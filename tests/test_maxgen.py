@@ -386,6 +386,25 @@ def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
         from_generators([8] + list(range(50, 58)))
 
 
+def _notiz_family_per_residue(m, f):
+    # the per-residue construction the two-range one replaced: the least
+    # member of class r > 0 is its generator in [c, c + m)
+    c = f + 1
+    apery = [0] + [c + (r - c) % m for r in range(1, m)]
+    return core._from_apery(apery, (m,) + tuple(sorted(apery[1:])),
+                            core.conductor_cap())
+
+
+@pytest.mark.parametrize("m, f", [(3, 4), (4, 5), (5, 7), (7, 30),
+                                  (100, 101), (1000, 2345)])
+def test_notiz_family_matches_per_residue_construction(m, f):
+    s = maxgen.notiz_family(m, f)
+    t = _notiz_family_per_residue(m, f)
+    for k in ("min_generators", "conductor", "members_mask", "mirror"):
+        assert getattr(s, k) == getattr(t, k), k
+    assert s.apery_set() == t.apery_set()
+
+
 def test_notiz_family_cap_checked_before_the_builder(monkeypatch):
     # an over-cap input is refused before the O(m) Apery table is built
     def unreachable(*args):
