@@ -8,11 +8,12 @@ is byte-identical for any worker count; failures carry the minimal
 generator list of the offending semigroup as a witness.
 
 One worker tallies tree.walk in this process.  More workers, min(jobs,
-CPUs, items) of them, share the tree: the items are the nodes of genus
-below G - UNIT_MARGIN, each alone, and the nodes of genus G - UNIT_MARGIN
-(the root when G <= UNIT_MARGIN) with their subtrees.  Worker k of J
-builds the nodes above that genus, tallies the items numbered k mod J in
-walk order and returns one tally, so only integers cross the pool.
+CPUs, items) of them, share the tree.  The frontier rule is _items's: the
+items are the nodes of genus below G - UNIT_MARGIN, each alone, and the
+nodes of genus G - UNIT_MARGIN with their subtrees, in walk order; a bound
+of UNIT_MARGIN or less has no items and runs in this process.  Worker k of
+J walks the nodes above the units, tallies the items numbered k mod J and
+returns one tally, so only integers cross the pool.
 
 The checks themselves, and the names accepted by run_campaign and the CLI,
 are the rows of :mod:`numsgp.properties`.
@@ -30,7 +31,7 @@ from itertools import islice
 from multiprocessing import Pool
 
 from . import tree
-from .core import _naturals, _remove_generator
+from .core import _remove_generator
 from .errors import BoundTooLarge, UnknownProperty
 from .properties import (MAXGEN, PROPERTIES, SYMMETRIC, TRIVIAL,
                          count_failures, domains, plan)
@@ -92,62 +93,56 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
     Returns (counts, mg, sym, checked, failures): the per-genus counts of
     all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
     nodes each of names applied to; and (position in names, witness) pairs.
-    The trivial semigroup is tallied as both a_e = 2g + 1 (1 = 2*0 + 1) and
-    symmetric (F + 1 = 0 = 2g).  Each domain key is planned when a node
-    first has it.
+    Each domain key is planned when a node first has it, and its entry
+    counts the nodes with that key by genus; the columns are summed from
+    those counts by flag, so the trivial semigroup, whose key is TRIVIAL,
+    is counted in both mg (1 = 2*0 + 1) and sym (F + 1 = 0 = 2g).
     """
     plans = {}
-    n = max_genus + 1
-    counts = [0] * n
-    mg = [0] * n
-    sym = [0] * n
     checked = [0] * len(names)
     failures: list = []
     for s in nodes:
         key = domains(s)
-        g = s.genus
-        counts[g] += 1
-        if key & (TRIVIAL | MAXGEN):
-            mg[g] += 1
-        if key & (TRIVIAL | SYMMETRIC):
-            sym[g] += 1
         try:
-            steps = plans[key]
+            steps, census = plans[key]
         except KeyError:
-            steps = plans[key] = plan(names, key)
+            steps, census = plans[key] = (plan(names, key),
+                                          [0] * (max_genus + 1))
+        census[s.genus] += 1
         for i, applies, holds in steps:
             if applies is None or applies(s):
                 checked[i] += 1
                 if not holds(s):
                     failures.append((i, s.min_generators))
-    return counts, mg, sym, checked, failures
+    columns = ([sum(c[g] for key, (_, c) in plans.items() if key & flags)
+                for g in range(max_genus + 1)]
+               for flags in (~0, TRIVIAL | MAXGEN, TRIVIAL | SYMMETRIC))
+    return (*columns, checked, failures)
+
+
+def _items(max_genus: int):
+    """The items of a shared campaign up to max_genus, in walk order (see
+    the module docstring): (s, None) for each node s above the units, and
+    (s, a) for each unit s minus {a}, which is not built here."""
+    deep = max_genus - UNIT_MARGIN
+    for s in tree.walk(deep - 1):
+        yield s, None
+        if s.genus == deep - 1:
+            f = s.frobenius
+            for a in reversed(s.min_generators):
+                if a > f:
+                    yield s, a
 
 
 def _share(max_genus: int, jobs: int, k: int):
-    """Worker k's share, of jobs, of the genus tree up to max_genus (see
-    the module docstring).  A node's genus says whether its children head
-    items, so only the worker that tallies such a child builds it."""
-    deep = max_genus - UNIT_MARGIN
-    if deep <= 0:
-        if k == 0:
-            yield from tree.walk(max_genus, _naturals())
-        return
-    stack = [_naturals()]
-    n = 0
-    while stack:
-        s = stack.pop()
-        if n % jobs == k:
+    """The nodes of worker k's share, of jobs, of the genus tree up to
+    max_genus: the items numbered k mod jobs, each unit built and walked
+    only here."""
+    for s, a in islice(_items(max_genus), k, None, jobs):
+        if a is None:
             yield s
-        n += 1
-        f = s.frobenius
-        kids = [a for a in s.min_generators if a > f]
-        if s.genus < deep - 1:
-            stack.extend(_remove_generator(s, a) for a in kids)
         else:
-            for a in reversed(kids):
-                if n % jobs == k:
-                    yield from tree.walk(max_genus, _remove_generator(s, a))
-                n += 1
+            yield from tree.walk(max_genus, _remove_generator(s, a))
 
 
 def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
@@ -193,9 +188,8 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     t0 = time.perf_counter()
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
-        items = tree.walk(max(max_genus - UNIT_MARGIN, 0))
-        workers = sum(1 for _ in islice(items, workers))
-    if workers == 1:
+        workers = sum(1 for _ in islice(_items(max_genus), workers))
+    if workers <= 1:
         parts = [_tally(tree.walk(max_genus), max_genus, names)]
     else:
         # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
 from functools import cache
 
@@ -205,6 +206,10 @@ def _print_verify_csv(report: campaign.CampaignReport) -> None:
                  report.symmetric_counts_by_genus[g]))
 
 
+def _cannot_write(path: str, exc: OSError) -> ParseFailure:
+    return ParseFailure("cannot write %s: %s" % (path, exc.strerror))
+
+
 def cmd_verify(max_genus: int, properties, jobs: int,
                out_path: str | None, fmt: str) -> int:
     props = campaign.resolve_properties(properties)
@@ -213,22 +218,27 @@ def cmd_verify(max_genus: int, properties, jobs: int,
     else:
         # opened before the run so that a bad path fails at once; append
         # mode leaves an existing file as it was if the run does not finish,
-        # and a file this call created is removed again
+        # and a file this call created is removed again.  Only a regular
+        # file is emptied: a device or a FIFO just receives the report.
         created = not os.path.exists(out_path)
         try:
             fh = open(out_path, "a", encoding="utf-8")
         except OSError as exc:
-            raise ParseFailure("cannot write %s: %s"
-                               % (out_path, exc.strerror)) from None
+            raise _cannot_write(out_path, exc) from None
+        report = None
         try:
             with fh:
                 report = campaign.run_campaign(max_genus, props, jobs)
-                fh.truncate(0)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(report.to_json())
                 fh.write("\n")
-        except BaseException:
+        except BaseException as exc:
             if created:
                 os.remove(out_path)
+            # once the report exists, an OSError is the write's or close's
+            if report is not None and isinstance(exc, OSError):
+                raise _cannot_write(out_path, exc) from None
             raise
     if fmt == "jsonl":
         print(json.dumps(report.to_json_dict(), separators=(", ", ": ")))

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -130,8 +131,9 @@ def test_parallel_small_bounds(monkeypatch):
     assert rep.passed
 
 
-def _items(max_genus):
-    """The items of a shared campaign: the nodes of genus <= G - 4."""
+def _item_count(max_genus):
+    """The number of items of a shared campaign: the nodes of genus
+    <= G - 4."""
     return sum(1 for _ in tree.walk(max_genus - campaign.UNIT_MARGIN))
 
 
@@ -154,7 +156,7 @@ def test_pool_no_larger_than_work(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(campaign, "Pool", FakePool)
-    assert [_items(g) for g in (5, 6, 7, 8)] == [2, 4, 8, 15]
+    assert [_item_count(g) for g in (5, 6, 7, 8)] == [2, 4, 8, 15]
     for cpus, max_genus, jobs, want in (
             (8, 0, 8, []), (8, 4, 64, []), (8, 5, 64, [2]), (8, 6, 64, [4]),
             (8, 7, 64, [8]), (8, 8, 64, [8]), (8, 11, 3, [3]),
@@ -167,37 +169,41 @@ def test_pool_no_larger_than_work(monkeypatch):
             max_genus, "all", 1).to_json(include_wall_time=False)
 
 
-def _dealt(monkeypatch, max_genus, jobs):
-    """The nodes of every share and the unit roots they walked."""
-    walk = tree.walk
-    roots = []
-
-    def recording(max_genus, start=None):
-        roots.append(start.min_generators)
-        return walk(max_genus, start)
-
-    monkeypatch.setattr(tree, "walk", recording)
-    nodes = Counter(s.min_generators for k in range(jobs)
-                    for s in campaign._share(max_genus, jobs, k))
-    monkeypatch.setattr(tree, "walk", walk)
-    return nodes, roots
+def _frontier(max_genus):
+    """The nodes above the units and the units, as generator tuples, read
+    from the item list."""
+    above, units = [], []
+    for s, a in campaign._items(max_genus):
+        if a is None:
+            above.append(s.min_generators)
+        else:
+            units.append(core._remove_generator(s, a).min_generators)
+    return above, units
 
 
-def test_shares_partition_the_tree(monkeypatch):
+def test_shares_partition_the_tree():
     # every node lands in exactly one share, and the frontier depends on
-    # the genus bound alone: the units are the nodes of genus max(G - 4, 0)
-    for max_genus in range(17):
+    # the genus bound alone: the units are the nodes of genus G - 4 and the
+    # items above them the nodes of lower genus, each listed once
+    for max_genus in range(5, 17):
         whole = Counter(s.min_generators for s in tree.walk(max_genus))
-        frontier = None
+        deep = max_genus - campaign.UNIT_MARGIN
+        above, units = _frontier(max_genus)
+        assert Counter(above) == Counter(s.min_generators for s in
+                                         tree.walk(deep - 1)), max_genus
+        assert Counter(units) == Counter(s.min_generators for s in
+                                         tree.walk(deep)
+                                         if s.genus == deep), max_genus
         for jobs in (1, 2, 3, 5):
-            nodes, roots = _dealt(monkeypatch, max_genus, jobs)
+            nodes = Counter(s.min_generators for k in range(jobs)
+                            for s in campaign._share(max_genus, jobs, k))
             assert nodes == whole, (max_genus, jobs)
-            assert len(set(roots)) == len(roots)
-            assert frontier in (None, set(roots)), (max_genus, jobs)
-            frontier = set(roots)
-        deep = max(max_genus - campaign.UNIT_MARGIN, 0)
-        assert frontier == {s.min_generators for s in tree.walk(deep)
-                            if s.genus == deep}, max_genus
+
+
+def test_no_items_up_to_the_margin():
+    # a bound of 4 or less runs in this process: there is nothing to deal
+    for max_genus in range(campaign.UNIT_MARGIN + 1):
+        assert list(campaign._items(max_genus)) == []
 
 
 def test_each_unit_is_built_once(monkeypatch):
@@ -260,17 +266,13 @@ def test_broken_count_identity_filed_under_correspondence(monkeypatch):
     assert campaign.run_campaign(8, ["wilf"], 1).passed
 
 
-def test_frontier_deepens_with_the_bound(monkeypatch):
+def test_frontier_deepens_with_the_bound():
     # units (the nodes of genus G - 4) and above-frontier nodes at three
     # genus bounds
-    roots = []
-    monkeypatch.setattr(tree, "walk",
-                        lambda g, start: roots.append(start) or iter(()))
     for max_genus, units, above in ((16, 592, 821), (19, 2857, 4107),
                                     (21, 8045, 11770)):
-        roots.clear()
-        assert sum(1 for _ in campaign._share(max_genus, 1, 0)) == above
-        assert len(roots) == units
+        items = Counter(a is None for _, a in campaign._items(max_genus))
+        assert (items[False], items[True]) == (units, above), max_genus
 
 
 def test_refined_frontier_byte_identical(monkeypatch):
@@ -301,8 +303,8 @@ def test_refined_frontier_failures_merge(monkeypatch):
 
 def test_pool_capped_by_the_cpus(monkeypatch):
     # any jobs asks for at most min(jobs, CPUs, nodes of genus <= G - 4),
-    # counted without building more nodes than that, and G <= 4 starts no
-    # pool
+    # counted without building more nodes than that or any unit, and
+    # G <= 4 starts no pool
     sizes = []
     built = Counter()
 
@@ -323,22 +325,53 @@ def test_pool_capped_by_the_cpus(monkeypatch):
             built["nodes"] += 1
             yield s
 
+    step = core._remove_generator
+    genera = []
+
+    def recorded(s, a):
+        child = step(s, a)
+        genera.append(child.genus)
+        return child
+
     monkeypatch.setattr(campaign, "Pool", FakePool)
     monkeypatch.setattr(tree, "walk", counted)
+    monkeypatch.setattr(tree, "_remove_generator", recorded)
+    monkeypatch.setattr(campaign, "_remove_generator", recorded)
     for cpus in (2, 6):
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
         for max_genus in (2, 4):
             for jobs in (3, 10_000):
                 assert campaign.run_campaign(max_genus, ["wilf"], jobs).passed
         for max_genus in (5, 6, 11, 12, 16, 19, 21):
-            items = _items(max_genus)
+            items = _item_count(max_genus)
+            deep = max_genus - campaign.UNIT_MARGIN
             for jobs in (3, 10_000):
                 built.clear()
+                genera.clear()
                 with pytest.raises(Asked):
                     campaign.run_campaign(max_genus, ["wilf"], jobs)
                 assert sizes.pop() == min(jobs, cpus, items)
                 assert built["nodes"] <= cpus
+                assert all(g < deep for g in genera)
     assert not sizes
+
+
+#: Whole campaign reports without wall_time, by bound and property
+#: selection.  Rewrite the file only with an output change that is meant.
+VERIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "verify_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", VERIFY_GOLDEN,
+    ids=lambda c: "%d-%s" % (c["max_genus"], c["properties"]))
+def test_verify_golden_report(case, monkeypatch):
+    # checked and the three count columns, at jobs 1 and from a real pool
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        report = campaign.run_campaign(
+            case["max_genus"], case["properties"].split(","), jobs)
+        assert report.to_json(include_wall_time=False) == case["report"], jobs
 
 
 def test_report_json_shape(report12):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,40 @@ def test_verify_out_kept_on_failed_run(tmp_path, capsys):
     assert run(capsys, "verify", "--max-genus", "99",
                "--out", str(fresh))[0] == 2
     assert not fresh.exists()
+
+
+def test_verify_out_device(capsys):
+    # a device is written to, never emptied, and the table still prints
+    code, out, err = run(capsys, "verify", "--max-genus", "5",
+                         "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert "result: PASS" in out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_verify_out_fifo(tmp_path, capsys):
+    path = tmp_path / "report.fifo"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        path.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    code, _, err = run(capsys, "verify", "--max-genus", "5",
+                       "--jobs", "2", "--out", str(path))
+    reader.join(60)
+    assert (code, err) == (0, "")
+    rep = json.loads(received[0])
+    assert (rep["max_genus"], rep["passed"]) == (5, True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_verify_out_write_error(capsys):
+    # a write that fails after the run is reported like an open failure
+    code, out, err = run(capsys, "verify", "--max-genus", "5",
+                         "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_interrupted(tmp_path, capsys, monkeypatch):
