@@ -210,6 +210,17 @@ def _cannot_write(path: str, exc: OSError) -> ParseFailure:
     return ParseFailure("cannot write %s: %s" % (path, exc.strerror))
 
 
+def _is_std_stream(st: os.stat_result) -> bool:
+    """Whether st is the file open on fd 1 or fd 2; a closed fd is not."""
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(st, os.fstat(fd)):
+                return True
+        except OSError:
+            pass
+    return False
+
+
 def cmd_verify(max_genus: int, properties, jobs: int,
                out_path: str | None, fmt: str) -> int:
     props = campaign.resolve_properties(properties)
@@ -219,7 +230,8 @@ def cmd_verify(max_genus: int, properties, jobs: int,
         # opened before the run so that a bad path fails at once; append
         # mode leaves an existing file as it was if the run does not finish,
         # and a file this call created is removed again.  Only a regular
-        # file is emptied: a device or a FIFO just receives the report.
+        # file is emptied: a device or a FIFO just receives the report, and
+        # so does the file behind this process's own stdout or stderr.
         created = not os.path.exists(out_path)
         try:
             fh = open(out_path, "a", encoding="utf-8")
@@ -229,7 +241,8 @@ def cmd_verify(max_genus: int, properties, jobs: int,
         try:
             with fh:
                 report = campaign.run_campaign(max_genus, props, jobs)
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                st = os.fstat(fh.fileno())
+                if stat.S_ISREG(st.st_mode) and not _is_std_stream(st):
                     fh.truncate(0)
                 fh.write(report.to_json())
                 fh.write("\n")

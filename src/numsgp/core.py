@@ -29,9 +29,10 @@ The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
 Hivert, Math. Comp. 2016):
 
-- child, S minus a minimal generator a > F (_remove_generator): the
-  generators are G minus {a}, plus a + m, plus a + m' when a = m, each of
-  the two kept only if it is not a sum of two positive members of the child;
+- child, S minus a minimal generator a > F (_remove_generator): a = m only
+  on S = {0} union [m, oo), whose child is <m + 1, ..., 2m + 1>; otherwise
+  G minus {a}, plus a + m unless it is a sum of two positive members of
+  the child; a + m is the largest, as G lies in Ap(S, m) union {m}, <= F + m;
 - parent, S union {F} (_add_frobenius): the generators are {F} union G
   minus {F + m, 2F}.
 
@@ -420,30 +421,29 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     """S without one minimal generator a, for a > F(S): the child step.
 
     The child has conductor a + 1 and its mask lacks a, so g' = g + 1 and
-    F' = a.  The other minimal generators stay minimal.  A new one is a + v
-    for a positive member v of S, and it is at most F' + m' = a + m', so
-    v = m, or v = m' when a = m, found here for that candidate.  Each
-    candidate t is minimal iff t - u is a gap of the child for every
-    positive member u below t: the child's mirror shifted by t - a has bit
-    t - n set iff n is a gap.
+    F' = a.  The other minimal generators stay minimal.  As a > F, a = m
+    only on the ordinary S = {0} union [m, oo), F = m - 1, whose child
+    {0} union [m + 1, oo) is generated by m + 1, ..., 2m + 1 (the root,
+    m = 1, gives <2, 3>).  Otherwise a new generator is a + v for a positive
+    v in S, at most F' + m' = a + m, so v = m.  t = a + m exceeds every
+    generator of S, as those other than m lie in Ap(S, m), whose largest
+    entry is F + m, so it goes last.  It is minimal iff t - u is a gap of
+    the child for every positive member u below t: the child's mirror
+    shifted by t - a = m has bit t - n set iff n is a gap.
     """
-    conductor = a + 1
-    child_mask = _extended_mask(s.members_mask, s.conductor,
-                                conductor - s.conductor) ^ (1 << a)
+    c = s.conductor
+    mask = s.members_mask | ((1 << a) - (1 << c))
+    mirror = (s.mirror << (a + 1 - c)) | 1
     m = s.multiplicity
-    candidates = [a + m]
     if a == m:
-        positives = child_mask & ~1
-        candidates.append(a + ((positives & -positives).bit_length() - 1
-                               if positives else conductor))
-    mirror = (s.mirror << (conductor - s.conductor)) | 1
-    gens = [x for x in s.min_generators if x != a]
-    for t in candidates:
-        pos = _extended_mask(child_mask, conductor, t - conductor) & ~1
-        if not pos & ~(mirror << (t - a)):
-            gens.append(t)
-    gens.sort()
-    return Semigroup(tuple(gens), conductor, child_mask, mirror)
+        return Semigroup(tuple(range(m + 1, 2 * m + 2)), a + 1, mask, mirror)
+    gens = s.min_generators
+    i = gens.index(a)
+    gens = gens[:i] + gens[i + 1:]
+    t = a + m
+    if not (mask | ((1 << t) - (2 << a))) & ~1 & ~(mirror << m):
+        gens += (t,)
+    return Semigroup(gens, a + 1, mask, mirror)
 
 
 def _add_frobenius(s: Semigroup) -> Semigroup:

@@ -370,6 +370,25 @@ def test_verify_out_device(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_verify_out_own_stdout_file_kept(tmp_path):
+    # --out naming the file this process's stdout appends to adds the
+    # report after what the file held instead of emptying it
+    log = tmp_path / "log"
+    log.write_text("earlier line\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(log, "a") as fh:
+        subprocess.run([sys.executable, "-m", "numsgp.cli", "verify",
+                        "--max-genus", "3", "--out", "/dev/stdout"],
+                       stdout=fh, env=env, check=True, timeout=60)
+    first, rest = log.read_text().split("\n", 1)
+    assert first == "earlier line"
+    rep, _ = json.JSONDecoder().raw_decode(rest)
+    assert (rep["max_genus"], rep["passed"]) == (3, True)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 def test_verify_out_fifo(tmp_path, capsys):
     path = tmp_path / "report.fifo"

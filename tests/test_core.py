@@ -295,7 +295,7 @@ def _parent_reference(s):
 
 def test_tree_steps_match_from_generators():
     steps = 0
-    for s in tree.walk(12):
+    for s in tree.walk(15):
         for a in s.min_generators:
             if a > s.frobenius:
                 assert _fields(_remove_generator(s, a)) == \
@@ -305,19 +305,34 @@ def test_tree_steps_match_from_generators():
             assert _fields(_add_frobenius(s)) == \
                 _fields(_parent_reference(s)), s
             steps += 1
-    assert steps > 3000
+    assert steps > 13000
+
+
+def test_child_of_the_ordinary_semigroup():
+    # a = m only on {0} union [m, oo), whose child is <m + 1, ..., 2m + 1>
+    assert _fields(_remove_generator(_naturals(), 1)) == \
+        _fields(from_generators([2, 3]))
+    for m in range(1, 65):
+        s = from_generators(range(m, 2 * m))
+        assert _fields(_remove_generator(s, m)) == \
+            _fields(from_generators(range(m + 1, 2 * m + 2))), m
+
+
+def test_tree_generators_ascend_to_at_most_f_plus_m():
+    # the child step appends a + m last without sorting: it relies on both
+    # (the root, F = -1, has the one generator 1 = m)
+    nodes = 0
+    for s in tree.walk(16):
+        gens = s.min_generators
+        assert all(x < y for x, y in zip(gens, gens[1:])), s
+        assert gens[-1] <= s.frobenius + s.multiplicity or s.is_trivial, s
+        nodes += 1
+    assert nodes == 11770
 
 
 def test_tree_step_edges():
-    one = from_generators([1])
-    assert _fields(_remove_generator(one, 1)) == \
-        _fields(from_generators([2, 3]))
-    assert _fields(_add_frobenius(from_generators([2, 3]))) == _fields(one)
-    # a = m on the ordinary semigroup: both candidates 2m and m + m'
-    for m in range(2, 9):
-        s = from_generators(range(m, 2 * m))
-        assert _fields(_remove_generator(s, m)) == \
-            _fields(_child_reference(s, m))
+    assert _fields(_add_frobenius(from_generators([2, 3]))) == \
+        _fields(from_generators([1]))
     # F < m: the multiplicity drops to F, and S union {F} loses F + m and 2F
     s = from_generators([3, 4, 5])
     assert _fields(_add_frobenius(s)) == _fields(from_generators([2, 3]))
@@ -417,6 +432,17 @@ def test_membership_matches_naive_closure(gens):
     members = oracle.closure_set(gens, bound)
     for n in range(bound + 1):
         assert (n in s) == (n in members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_lists())
+def test_child_step_matches_from_generators(gens):
+    # multiplicities and generators far above those of the shallow tree
+    s = from_generators(gens)
+    for a in s.min_generators:
+        if a > s.frobenius:
+            assert _fields(_remove_generator(s, a)) == \
+                _fields(_child_reference(s, a)), a
 
 
 def test_conductor_cap_invalid_values(monkeypatch):
