@@ -16,7 +16,9 @@ J walks the nodes above the units, tallies the items numbered k mod J and
 returns one tally, so only integers cross the pool.
 
 The checks themselves, and the names accepted by run_campaign and the CLI,
-are the rows of :mod:`numsgp.properties`.
+are the rows of :mod:`numsgp.properties`.  Every walk of a campaign starts
+from properties.root(names), which carries the PF and Apery masks down the
+tree only for a selection with a row that reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import tree
 from .core import _remove_generator
 from .errors import BoundTooLarge, UnknownProperty
 from .properties import (MAXGEN, PROPERTIES, SYMMETRIC, TRIVIAL,
-                         count_failures, domains, plan)
+                         count_failures, domains, plan, root)
 
 #: The units of a shared campaign are the nodes this far above the bound.
 UNIT_MARGIN = 4
@@ -120,12 +122,13 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
     return (*columns, checked, failures)
 
 
-def _items(max_genus: int):
+def _items(max_genus: int, start=None):
     """The items of a shared campaign up to max_genus, in walk order (see
     the module docstring): (s, None) for each node s above the units, and
-    (s, a) for each unit s minus {a}, which is not built here."""
+    (s, a) for each unit s minus {a}, which is not built here.  start is
+    the tree's root, as for tree.walk."""
     deep = max_genus - UNIT_MARGIN
-    for s in tree.walk(deep - 1):
+    for s in tree.walk(deep - 1, start):
         yield s, None
         if s.genus == deep - 1:
             f = s.frobenius
@@ -134,11 +137,11 @@ def _items(max_genus: int):
                     yield s, a
 
 
-def _share(max_genus: int, jobs: int, k: int):
+def _share(max_genus: int, jobs: int, k: int, start=None):
     """The nodes of worker k's share, of jobs, of the genus tree up to
-    max_genus: the items numbered k mod jobs, each unit built and walked
-    only here."""
-    for s, a in islice(_items(max_genus), k, None, jobs):
+    max_genus from the root start: the items numbered k mod jobs, each unit
+    built and walked only here."""
+    for s, a in islice(_items(max_genus, start), k, None, jobs):
         if a is None:
             yield s
         else:
@@ -149,7 +152,7 @@ def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
             k: int) -> tuple:
     """The tally of share k.  Pool workers get the property names, not the
     plan: pickling the plan's functions costs more than building it."""
-    return _tally(_share(max_genus, jobs, k), max_genus, names)
+    return _tally(_share(max_genus, jobs, k, root(names)), max_genus, names)
 
 
 def resolve_properties(properties) -> tuple[str, ...]:
@@ -186,11 +189,12 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     names = resolve_properties(properties)
 
     t0 = time.perf_counter()
+    start = root(names)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
-        workers = sum(1 for _ in islice(_items(max_genus), workers))
+        workers = sum(1 for _ in islice(_items(max_genus, start), workers))
     if workers <= 1:
-        parts = [_tally(tree.walk(max_genus), max_genus, names)]
+        parts = [_tally(tree.walk(max_genus, start), max_genus, names)]
     else:
         # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool
         with Pool(workers, signal.signal,

@@ -322,9 +322,10 @@ def main(argv=None) -> int:
             return 0
         props = [p.strip().replace("-", "_")
                  for p in args.properties.split(",") if p.strip()]
+        if not props:
+            raise CampaignConfigError("empty property list")
         vfmt = "table" if args.format is None and not args.json else fmt
-        return cmd_verify(args.max_genus, props or "all", args.jobs,
-                          args.out, vfmt)
+        return cmd_verify(args.max_genus, props, args.jobs, args.out, vfmt)
     except (ParseFailure, ValueError, CampaignConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -15,6 +15,31 @@ The reflections the checks test (RG(n, S), the canonical ideal
 K = {z : F - z not in S}, a child generator's minimality) read the mirror
 shifted, instead of mirroring the gap mask again.
 
+A node of a walk from a root that carries them (_naturals(masks=True))
+also stores two masks, which the child step hands down in a few big-int
+operations: the PF mask (bit p set iff p is in PF(S)) and the Apery mask
+(bit n set iff n is in Ap(S, m)).  _pf_mask() and _apery_mask() return a
+stored mask and otherwise compute one from the member mask; no query
+stores one.  For the child T = S minus {a}, a > F, whose mirror has bit
+a - n set iff n is a gap of T:
+
+- PF(T) = {a} union {p in PF(S) : a - p not in S}, the mask
+  (pf_S & mirror_T) | 1 << a.  Proof: a is a gap of T, and a + u > F(T)
+  for every positive u, so a is in PF(T).  Any other gap p of T is a gap
+  of S below a.  If p is in PF(T), then p is in PF(S), as p + u is in
+  T, a subset of S, for positive u in T, and p + a > F(S); and a - p,
+  positive and not a, is not in T, so not in S.  Conversely, if p is in
+  PF(S) and a - p is not in S, then for positive u in T, p + u is in S
+  and is not a, so it is in T.
+- Ap(T, m) = Ap(S, m) minus {a}, plus a + m, for a != m, the mask
+  ap_S ^ (1 << a | 1 << a + m).  Proof: m stays the multiplicity.  The
+  minimal generator a != m lies in Ap(S, m), so no a - km, k >= 1, is in
+  S; as a is not in T and a + m > F(T), a + m is the least member of its
+  class in T.  Any other w in Ap(S, m) is in T, and w - m, not in S, is
+  not in T either.
+- For a = m, T = {0} union [m + 1, oo) and Ap(T, m + 1) = {0} union
+  [m + 2, 2m + 1].
+
 from_generators() is Apery-first: it tests lower bounds on c against the
 conductor cap, then computes the Apery set with respect to a_1 by
 round-robin shortest paths in O(e * a_1) steps (Boecker & Liptak,
@@ -131,8 +156,11 @@ def _apery_mask(s: Semigroup) -> int:
     """Bit n set iff n is in the Apery set of S with respect to m.
 
     These are the members n with n - m not in S; all of them lie below
-    c + m.
+    c + m.  A tree node that carries the mask returns it.
     """
+    ap = s._apery_bits
+    if ap is not None:
+        return ap
     ext = _extended_mask(s.members_mask, s.conductor, s.multiplicity)
     return ext & ~(ext << s.multiplicity)
 
@@ -142,8 +170,11 @@ def _pf_mask(s: Semigroup) -> int:
 
     It suffices to test p + a in S over the minimal generators a, all at
     once: the gap mask AND the member mask (extended past c) shifted down by
-    a, for each a.
+    a, for each a.  A tree node that carries the mask returns it.
     """
+    pf = s._pf_bits
+    if pf is not None:
+        return pf
     gens = s.min_generators
     c = s.conductor
     mask = s.members_mask
@@ -173,7 +204,10 @@ class Semigroup:
     through the minimal generating set, which is unique.  Beside the four
     inputs and the genus, frobenius and multiplicity derived from them (see
     the module docstring) it keeps _from_apery()'s Apery table (None after a
-    tree step); every other invariant is computed per call.
+    tree step) and, on a node of a walk with masks, the PF and Apery masks
+    that the child step hands down (None elsewhere); these slots are
+    written only when the value is built.  Every other invariant is
+    computed per call.
     """
 
     __slots__ = (
@@ -185,6 +219,8 @@ class Semigroup:
         "multiplicity",
         "mirror",
         "_apery",
+        "_pf_bits",
+        "_apery_bits",
     )
 
     def __init__(self, min_generators, conductor, members_mask, mirror):
@@ -196,6 +232,8 @@ class Semigroup:
         self.frobenius = conductor - 1
         self.multiplicity = min_generators[0]
         self._apery = None
+        self._pf_bits = None
+        self._apery_bits = None
 
     def __repr__(self) -> str:
         return "Semigroup<%s>" % ", ".join(map(str, self.min_generators))
@@ -269,9 +307,15 @@ class Semigroup:
         return self.frobenius + 1 == 2 * self.genus
 
 
-def _naturals() -> Semigroup:
-    """The semigroup of all nonnegative integers."""
-    return Semigroup((1,), 0, 0, 0)
+def _naturals(masks: bool = False) -> Semigroup:
+    """The semigroup of all nonnegative integers, the root of the genus
+    tree; with masks, it carries its PF mask (empty) and its Apery mask
+    ({0}), and so does every node of a walk from it."""
+    s = Semigroup((1,), 0, 0, 0)
+    if masks:
+        s._pf_bits = 0
+        s._apery_bits = 1
+    return s
 
 
 def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
@@ -430,20 +474,30 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     entry is F + m, so it goes last.  It is minimal iff t - u is a gap of
     the child for every positive member u below t: the child's mirror
     shifted by t - a = m has bit t - n set iff n is a gap.
+
+    A parent that carries the PF and Apery masks hands both down, by the
+    recurrences in the module docstring.
     """
     c = s.conductor
     mask = s.members_mask | ((1 << a) - (1 << c))
     mirror = (s.mirror << (a + 1 - c)) | 1
     m = s.multiplicity
     if a == m:
-        return Semigroup(tuple(range(m + 1, 2 * m + 2)), a + 1, mask, mirror)
-    gens = s.min_generators
-    i = gens.index(a)
-    gens = gens[:i] + gens[i + 1:]
-    t = a + m
-    if not (mask | ((1 << t) - (2 << a))) & ~1 & ~(mirror << m):
-        gens += (t,)
-    return Semigroup(gens, a + 1, mask, mirror)
+        child = Semigroup(tuple(range(m + 1, 2 * m + 2)), a + 1, mask, mirror)
+    else:
+        gens = s.min_generators
+        i = gens.index(a)
+        gens = gens[:i] + gens[i + 1:]
+        t = a + m
+        if not (mask | ((1 << t) - (2 << a))) & ~1 & ~(mirror << m):
+            gens += (t,)
+        child = Semigroup(gens, a + 1, mask, mirror)
+    pf = s._pf_bits
+    if pf is not None:
+        child._pf_bits = (pf & mirror) | (1 << a)
+        child._apery_bits = (1 | (((1 << m) - 1) << (m + 2)) if a == m
+                             else s._apery_bits ^ ((1 << a) | (1 << (a + m))))
+    return child
 
 
 def _add_frobenius(s: Semigroup) -> Semigroup:

@@ -27,11 +27,13 @@ A row has a domain (see domains()), an optional applies(s) that narrows
 it, the verdict holds(s), and record(s), the `check` result fields less
 holds, with the provenance string that goes beside them.  Only this
 module reads the domains: `check` has one entry, check(), and campaigns
-use plan() and count_failures().  Records keep Fractions; the CLI encodes
-them.  Outside its domain a property is undefined; inside it but not
-applicable, it holds vacuously.  correspondence has one row per side and
-one for the trivial semigroup, whose partner is <2, 3>; a semigroup
-<2, 2g+1> is on both sides and is checked from each.
+use root(), plan() and count_failures().  A row marked reads_masks has a
+verdict that reads the PF or Apery mask, which root() then has the walk
+carry.  Records keep Fractions; the CLI encodes them.  Outside its domain
+a property is undefined; inside it but not applicable, it holds
+vacuously.  correspondence has one row per side and one for the trivial
+semigroup, whose partner is <2, 3>; a semigroup <2, 2g+1> is on both
+sides and is checked from each.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class Row:
     record: Callable[[Semigroup], dict] | None = None
     provenance: str | None = None
     applies: Callable[[Semigroup], bool] | None = None
+    #: holds reads the PF or Apery mask, which a walk can carry (root())
+    reads_masks: bool = False
 
 
 # -- verdicts and applicability ---------------------------------------------
@@ -275,14 +279,15 @@ ROWS = (
         "numsgp.maxgen.wilf_report", applies=_equality_family),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
         lambda s: dict(vars(maxgen.reflected_gap_report(s))),
-        "numsgp.maxgen.reflected_gap_report"),
+        "numsgp.maxgen.reflected_gap_report", reads_masks=True),
     Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
         _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
-        "numsgp.maxgen.pf_formula_check"),
-    Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number"),
+        "numsgp.maxgen.pf_formula_check", reads_masks=True),
+    Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number",
+        reads_masks=True),
     Row("canonical_gens", ALL, _canonical_gens, _canonical_gens_record,
-        "numsgp.maxgen.canonical_ideal"),
+        "numsgp.maxgen.canonical_ideal", reads_masks=True),
     Row("reflection_bijection", MAXGEN, _reflection_bijection,
         _reflection_bijection_record, "numsgp.maxgen.reflection_map"),
     Row("correspondence", TRIVIAL, _trivial_partner),
@@ -305,6 +310,14 @@ ROWS = (
 )
 
 PROPERTIES = tuple(dict.fromkeys(row.name for row in ROWS))
+
+
+def root(names: tuple) -> Semigroup:
+    """The root of a campaign's walk over the properties names: one that
+    carries the PF and Apery masks down the tree when a row of names reads
+    them, and a bare one otherwise, as carrying them costs each node a few
+    big-int operations that only those rows repay."""
+    return core._naturals(any(r.reads_masks for r in ROWS if r.name in names))
 
 
 def plan(names: tuple, key: int) -> tuple:

@@ -428,6 +428,64 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
     assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 
+@pytest.mark.parametrize("prop", ["canonical_gens", "apery_reflected_gaps"])
+def test_broken_carried_mask_is_caught(prop, monkeypatch):
+    # a child step that hands down a wrong PF mask (0 marked
+    # pseudo-Frobenius) or a wrong Apery mask (c + m marked, above every
+    # Apery element): the row reads the carried mask, and its independent
+    # side, the mirror-read canonical offsets or RG(F) + m, catches it in
+    # this process and in pool workers alike
+    real = core._remove_generator
+
+    def corrupted(s, a):
+        t = real(s, a)
+        if prop == "canonical_gens":
+            t._pf_bits |= 1
+        else:
+            t._apery_bits |= 1 << (t.conductor + t.multiplicity)
+        return t
+
+    monkeypatch.setattr(tree, "_remove_generator", corrupted)
+    monkeypatch.setattr(campaign, "_remove_generator", corrupted)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    reports = [campaign.run_campaign(12, [prop], jobs) for jobs in (1, 2)]
+    assert reports[0].property_failures == reports[1].property_failures
+    witnesses = _failed(reports[0], prop)
+    assert witnesses and all(len(w) >= 2 for w in witnesses)
+
+
+#: The rows whose verdicts read the PF or Apery mask.
+MASK_READERS = {"apery_reflected_gaps", "pf_formula", "type",
+                "canonical_gens"}
+
+
+def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
+    # a walk builds the masks, on every node, only for a selection with a
+    # row that reads one; the same holds for a pool worker's share
+    real = core._remove_generator
+    carried = Counter()
+
+    def recorded(s, a):
+        t = real(s, a)
+        carried[t._pf_bits is not None, t._apery_bits is not None] += 1
+        return t
+
+    monkeypatch.setattr(tree, "_remove_generator", recorded)
+    monkeypatch.setattr(campaign, "_remove_generator", recorded)
+    selections = [(p,) for p in campaign.PROPERTIES]
+    selections += [("wilf", "genus_bound"), ("wilf", "type"),
+                   campaign.PROPERTIES]
+    for names in selections:
+        has = bool(MASK_READERS.intersection(names))
+        carried.clear()
+        assert campaign.run_campaign(8, names, jobs=1).passed
+        assert carried.keys() == {(has, has)}, names
+        carried.clear()
+        for k in range(2):
+            campaign._worker(8, names, 2, k)
+        assert carried.keys() == {(has, has)}, names
+
+
 def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
     # the genus is derived from the member mask, not handed down from the
     # parent: a child step that loses a member bit (here 0, which every

@@ -319,6 +319,21 @@ def test_verify_bad_property(capsys):
     assert "unknown property" in err
 
 
+def test_verify_empty_property_list(tmp_path, capsys):
+    # no name at all is a usage error, not a run of every property; the
+    # --out file is neither created nor emptied
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    for props in (",", "", " , "):
+        for out in (tmp_path / "fresh.json", kept):
+            code, stdout, err = run(capsys, "verify", "--max-genus", "3",
+                                    "--properties", props, "--out", str(out))
+            assert (code, stdout, err) == (
+                2, "", "error: empty property list\n"), props
+    assert not (tmp_path / "fresh.json").exists()
+    assert kept.read_text() == "earlier report\n"
+
+
 def test_verify_bound_too_large(capsys):
     code, _, _ = run(capsys, "verify", "--max-genus", "99")
     assert code == 2

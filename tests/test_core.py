@@ -15,14 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
-from numsgp import maxgen, tree
+from numsgp import campaign, maxgen, tree
 from numsgp.core import (
     AperyTable,
     Semigroup,
     _add_frobenius,
+    _apery_mask,
     _apery_round_robin,
     _mask_from_apery,
     _naturals,
+    _pf_mask,
     _remove_generator,
     _reverse,
     conductor_cap,
@@ -228,10 +230,13 @@ def test_pickle_roundtrip():
     stepped = _remove_generator(built, 9)
     # a from_generators result carries its Apery table, a tree step does not
     assert built._apery is not None and stepped._apery is None
+    # a node of a walk with masks carries its PF and Apery masks
+    carried = [s for s in tree.walk(6, _naturals(masks=True))
+               if s.genus == 6][-1]
     duplicates = [copy.copy, copy.deepcopy] + [
         lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
         for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-    for s in (built, stepped):
+    for s in (built, stepped, carried):
         for duplicate in duplicates:
             t = duplicate(s)
             assert type(t) is Semigroup and t == s
@@ -242,6 +247,8 @@ def test_pickle_roundtrip():
 def test_queries_store_nothing():
     # a Semigroup is a value: no query writes to it
     semigroups = [s for s in tree.walk(9) if not s.is_trivial]
+    semigroups += [s for s in tree.walk(9, _naturals(masks=True))
+                   if not s.is_trivial]
     semigroups += [from_generators(g) for g in
                    ([3, 5, 7], [4, 6, 7, 9], [101, 103], [7, 11, 16, 17, 19])]
     for s in semigroups:
@@ -328,6 +335,40 @@ def test_tree_generators_ascend_to_at_most_f_plus_m():
         assert gens[-1] <= s.frobenius + s.multiplicity or s.is_trivial, s
         nodes += 1
     assert nodes == 11770
+
+
+def _assert_carried_masks(s):
+    # the masks a node carries equal those of a Semigroup rebuilt from its
+    # four inputs, which computes them from the member mask
+    rebuilt = Semigroup(s.min_generators, s.conductor, s.members_mask,
+                        s.mirror)
+    assert rebuilt._pf_bits is None and rebuilt._apery_bits is None
+    assert s._pf_bits == _pf_mask(rebuilt), s
+    assert s._apery_bits == _apery_mask(rebuilt), s
+
+
+def test_carried_masks_match_recomputed_ones():
+    # the child step's PF and Apery recurrences on every nontrivial node of
+    # a walk with masks to genus 16, as the campaign walks it in one
+    # process and dealt to 2 or 3 pool workers
+    def check(nodes):
+        count = 0
+        for s in nodes:
+            if not s.is_trivial:
+                _assert_carried_masks(s)
+                count += 1
+        assert count == 11769
+
+    check(tree.walk(16, _naturals(masks=True)))
+    for jobs in (2, 3):
+        check(s for k in range(jobs)
+              for s in campaign._share(16, jobs, k, _naturals(masks=True)))
+    # the ordinary step a = m, from the root, <2, 3>, ..., to m = 64
+    s = _naturals(masks=True)
+    for m in range(1, 65):
+        s = _remove_generator(s, m)
+        assert s.min_generators == tuple(range(m + 1, 2 * m + 2))
+        _assert_carried_masks(s)
 
 
 def test_tree_step_edges():
