@@ -15,10 +15,10 @@ of UNIT_MARGIN or less has no items and runs in this process.  Worker k of
 J walks the nodes above the units, tallies the items numbered k mod J and
 returns one tally, so only integers cross the pool.
 
-The checks themselves, and the names accepted by run_campaign and the CLI,
-are the rows of :mod:`numsgp.properties`.  Every walk of a campaign starts
-from properties.root(names), which carries the PF and Apery masks down the
-tree only for a selection with a row that reads them.
+The checks themselves are the rows of :mod:`numsgp.properties`, which
+also reads run_campaign's selection of names.  Every walk of a campaign
+starts from properties.root(names), which carries the PF and Apery masks
+down the tree only for a selection with a row that reads them.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from multiprocessing import Pool
 
 from . import tree
 from .core import _remove_generator
-from .errors import BoundTooLarge, UnknownProperty
-from .properties import (MAXGEN, PROPERTIES, SYMMETRIC, TRIVIAL,
-                         count_failures, domains, plan, root)
+from .errors import BoundTooLarge
+from .properties import (MAXGEN, SYMMETRIC, TRIVIAL, count_failures, domains,
+                         plan, resolve, root)
 
 #: The units of a shared campaign are the nodes this far above the bound.
 UNIT_MARGIN = 4
@@ -46,9 +46,11 @@ UNIT_MARGIN = 4
 class CampaignReport:
     """Merged result of one campaign run.
 
-    checked counts how many semigroups each property was applicable to;
-    property_failures holds (property name, witness generator tuple) pairs,
-    sorted, and is empty exactly when the campaign passed.
+    checked counts each property's row evaluations, one per applicable
+    node and row: correspondence checks each <2, 2g+1> from both sides.
+    property_failures holds sorted (property name, witness) pairs, empty
+    exactly when the campaign passed; a witness is a minimal generator
+    tuple, or (g,) for a broken correspondence count identity at genus g.
     """
 
     max_genus: int
@@ -94,11 +96,12 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
 
     Returns (counts, mg, sym, checked, failures): the per-genus counts of
     all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
-    nodes each of names applied to; and (position in names, witness) pairs.
-    Each domain key is planned when a node first has it, and its entry
-    counts the nodes with that key by genus; the columns are summed from
-    those counts by flag, so the trivial semigroup, whose key is TRIVIAL,
-    is counted in both mg (1 = 2*0 + 1) and sym (F + 1 = 0 = 2g).
+    row evaluations each of names had, one per applicable node and row; and
+    (position in names, witness) pairs.  Each domain key is planned when a
+    node first has it, and its entry counts the nodes with that key by
+    genus; the columns are summed from those counts by flag, so the trivial
+    semigroup, whose key is TRIVIAL, is counted in both mg (1 = 2*0 + 1)
+    and sym (F + 1 = 0 = 2g).
     """
     plans = {}
     checked = [0] * len(names)
@@ -155,24 +158,6 @@ def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
     return _tally(_share(max_genus, jobs, k, root(names)), max_genus, names)
 
 
-def resolve_properties(properties) -> tuple[str, ...]:
-    """Normalize a property selection to registry order; 'all' means all."""
-    if properties is None or properties == "all":
-        return PROPERTIES
-    if isinstance(properties, str):
-        properties = [properties]
-    requested = set()
-    for name in properties:
-        if name == "all":
-            return PROPERTIES
-        if name not in PROPERTIES:
-            raise UnknownProperty(
-                "unknown property %r; known: %s"
-                % (name, ", ".join(PROPERTIES)))
-        requested.add(name)
-    return tuple(p for p in PROPERTIES if p in requested)
-
-
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
     """Check the selected properties on every semigroup of genus <= max_genus.
 
@@ -186,7 +171,7 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
                             % (max_genus, tree.MAX_GENUS))
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    names = resolve_properties(properties)
+    names = resolve(properties)
 
     t0 = time.perf_counter()
     start = root(names)

@@ -29,24 +29,20 @@ from .errors import (
 SCHEMA_VERSION = "1"
 
 
-class ParseFailure(Exception):
-    """Bad command-line input; maps to exit code 2."""
-
-
 def _parse_gens(text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
     if parts and parts[-1] == "":
         parts.pop()
     if not parts:
-        raise ParseFailure("empty generator list")
+        raise ValueError("empty generator list")
     out = []
     for p in parts:
         try:
             v = int(p)
         except ValueError:
-            raise ParseFailure("not an integer: %r" % p) from None
+            raise ValueError("not an integer: %r" % p) from None
         if v < 1:
-            raise ParseFailure("generators must be positive, got %d" % v)
+            raise ValueError("generators must be positive, got %d" % v)
         out.append(v)
     return out
 
@@ -68,7 +64,7 @@ def _fraction(x) -> dict:
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "jsonl":
-        print(json.dumps(record, separators=(", ", ": "), default=_fraction))
+        print(json.dumps(record, default=_fraction))
     elif fmt == "table":
         print("command: %s" % record["command"])
         print("input: %s" % ",".join(map(str, record["input"])))
@@ -105,10 +101,7 @@ def cmd_info(gens: list[int]) -> dict:
 def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
     """One property's verdict and record on one semigroup; see
     numsgp.properties.check."""
-    name = prop.replace("-", "_")
-    if name not in properties.PROPERTIES:
-        raise ParseFailure("unknown property %r; known: %s"
-                           % (prop, ", ".join(properties.PROPERTIES)))
+    name = properties.lookup(prop)
     ok, result, provenance = properties.check(name, from_generators(gens))
     return (0 if ok else 1), _record("check:%s" % name, gens, result,
                                      provenance)
@@ -119,7 +112,7 @@ def cmd_construct(kind: str, raw: str) -> dict:
         try:
             m, f = (int(p.strip()) for p in raw.split(","))
         except ValueError:
-            raise ParseFailure(
+            raise ValueError(
                 "notiz-family takes two integers 'm,f'") from None
         s = maxgen.notiz_family(m, f)
         result = {
@@ -156,23 +149,22 @@ def cmd_construct(kind: str, raw: str) -> dict:
         }
         return _record("construct:from-symmetric", gens, result,
                        "numsgp.maxgen.from_symmetric")
-    if kind == "close-gap":
-        t = maxgen.close_largest_gap(s)
-        result = {
-            "min_generators": list(t.min_generators),
-            "embedding_dimension": t.embedding_dimension,
-            "genus": t.genus,
-            "frobenius": t.frobenius,
-            "wilf": (None if t.is_trivial
-                     else dict(vars(maxgen.wilf_report(t)))),
-        }
-        if s.min_generators[-1] > 2 * s.min_generators[0]:
-            d = maxgen.distinguished_set_for_closed(s)
-            result["distinguished_set"] = list(d)
-            result["pf_match"] = list(d) == list(t.pseudo_frobenius())
-        return _record("construct:close-gap", gens, result,
-                       "numsgp.maxgen.close_largest_gap")
-    raise ParseFailure("unknown construct kind %r" % kind)
+    # close-gap: argparse's choices admit no other kind
+    t = maxgen.close_largest_gap(s)
+    result = {
+        "min_generators": list(t.min_generators),
+        "embedding_dimension": t.embedding_dimension,
+        "genus": t.genus,
+        "frobenius": t.frobenius,
+        "wilf": (None if t.is_trivial
+                 else dict(vars(maxgen.wilf_report(t)))),
+    }
+    if s.min_generators[-1] > 2 * s.min_generators[0]:
+        d = maxgen.distinguished_set_for_closed(s)
+        result["distinguished_set"] = list(d)
+        result["pf_match"] = list(d) == list(t.pseudo_frobenius())
+    return _record("construct:close-gap", gens, result,
+                   "numsgp.maxgen.close_largest_gap")
 
 
 def _print_verify_table(report: campaign.CampaignReport) -> None:
@@ -206,8 +198,8 @@ def _print_verify_csv(report: campaign.CampaignReport) -> None:
                  report.symmetric_counts_by_genus[g]))
 
 
-def _cannot_write(path: str, exc: OSError) -> ParseFailure:
-    return ParseFailure("cannot write %s: %s" % (path, exc.strerror))
+def _cannot_write(path: str, exc: OSError) -> ValueError:
+    return ValueError("cannot write %s: %s" % (path, exc.strerror))
 
 
 def _is_std_stream(st: os.stat_result) -> bool:
@@ -221,9 +213,9 @@ def _is_std_stream(st: os.stat_result) -> bool:
     return False
 
 
-def cmd_verify(max_genus: int, properties, jobs: int,
+def cmd_verify(max_genus: int, selection, jobs: int,
                out_path: str | None, fmt: str) -> int:
-    props = campaign.resolve_properties(properties)
+    props = properties.resolve(selection)
     if not out_path:
         report = campaign.run_campaign(max_genus, props, jobs)
     else:
@@ -254,7 +246,7 @@ def cmd_verify(max_genus: int, properties, jobs: int,
                 raise _cannot_write(out_path, exc) from None
             raise
     if fmt == "jsonl":
-        print(json.dumps(report.to_json_dict(), separators=(", ", ": ")))
+        print(json.dumps(report.to_json_dict()))
     elif fmt == "csv":
         _print_verify_csv(report)
     else:
@@ -320,13 +312,12 @@ def main(argv=None) -> int:
         if args.subcommand == "construct":
             _emit(cmd_construct(args.kind, args.args), fmt)
             return 0
-        props = [p.strip().replace("-", "_")
-                 for p in args.properties.split(",") if p.strip()]
+        props = [p.strip() for p in args.properties.split(",") if p.strip()]
         if not props:
             raise CampaignConfigError("empty property list")
         vfmt = "table" if args.format is None and not args.json else fmt
         return cmd_verify(args.max_genus, props, args.jobs, args.out, vfmt)
-    except (ParseFailure, ValueError, CampaignConfigError) as exc:
+    except (ValueError, CampaignConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (InvalidSemigroupInput, PreconditionViolation) as exc:

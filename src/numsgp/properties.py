@@ -26,8 +26,9 @@ give the same verdict.  Property names, in registry order:
 A row has a domain (see domains()), an optional applies(s) that narrows
 it, the verdict holds(s), and record(s), the `check` result fields less
 holds, with the provenance string that goes beside them.  Only this
-module reads the domains: `check` has one entry, check(), and campaigns
-use root(), plan() and count_failures().  A row marked reads_masks has a
+module reads the domains and the names: `check` has one entry, check(),
+campaigns use resolve(), root(), plan() and count_failures(), and lookup()
+reads every name, hyphens as underscores.  A row marked reads_masks has a
 verdict that reads the PF or Apery mask, which root() then has the walk
 carry.  Records keep Fractions; the CLI encodes them.  Outside its domain
 a property is undefined; inside it but not applicable, it holds
@@ -43,6 +44,7 @@ from typing import Callable
 
 from . import core, maxgen
 from .core import Semigroup, _extended_mask, _pf_mask, _reverse
+from .errors import UnknownProperty
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
 TRIVIAL, ALL, MAXGEN, SYMMETRIC = 1, 2, 4, 8
@@ -312,6 +314,26 @@ ROWS = (
 PROPERTIES = tuple(dict.fromkeys(row.name for row in ROWS))
 
 
+def lookup(text) -> str:
+    """The property text names, hyphens read as underscores; any other
+    text raises UnknownProperty, which quotes it as given."""
+    name = str(text).replace("-", "_")
+    if name not in PROPERTIES:
+        raise UnknownProperty("unknown property %r; known: %s"
+                              % (text, ", ".join(PROPERTIES)))
+    return name
+
+
+def resolve(selection) -> tuple[str, ...]:
+    """The properties of a selection, in registry order: None, "all", one
+    name, or an iterable of names, [] selecting none.  Every entry but
+    "all" is looked up, so "all" hides no unknown name."""
+    if selection is None or isinstance(selection, str):
+        selection = ["all" if selection is None else selection]
+    wanted = {name if name == "all" else lookup(name) for name in selection}
+    return tuple(p for p in PROPERTIES if "all" in wanted or p in wanted)
+
+
 def root(names: tuple) -> Semigroup:
     """The root of a campaign's walk over the properties names: one that
     carries the PF and Apery masks down the tree when a row of names reads
@@ -334,7 +356,8 @@ def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:
     one's record with the verdict written in as holds.  Outside every
     domain this raises the last row's precondition violation (NotSymmetric
     for correspondence); the trivial-semigroup row is left to campaigns, so
-    every property raises IsTrivial on <1>."""
+    every property raises IsTrivial on <1>.  name goes through lookup()."""
+    name = lookup(name)
     rows = [r for r in ROWS if r.name == name and r.domain != TRIVIAL]
     rows_in = [r for r in rows if r.domain & domains(s)]
     if not rows_in:

@@ -40,6 +40,18 @@ def test_correspondence_count_identity(report12):
         assert mg[g] == sym[g + 1]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_correspondence_counts_row_evaluations(jobs, monkeypatch):
+    # checked counts row evaluations, not nodes: correspondence runs once
+    # on the trivial semigroup and twice on each <2, 2g+1>, from each side
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    for max_genus, want in ((1, 3), (2, 6), (5, 26), (10, 150), (14, 501)):
+        rep = campaign.run_campaign(max_genus, ["correspondence"], jobs)
+        mg, sym = rep.maxgen_counts_by_genus, rep.symmetric_counts_by_genus
+        assert dict(rep.checked)["correspondence"] == want == (
+            sum(mg) + sum(sym) - 1), max_genus
+
+
 def test_every_applicable_check_ran(report12):
     checked = dict(report12.checked)
     nontrivial = report12.total - 1
@@ -93,13 +105,34 @@ def test_unknown_property():
     with pytest.raises(UnknownProperty):
         campaign.run_campaign(4, ["bogus"])
     with pytest.raises(UnknownProperty):
-        campaign.resolve_properties(["wilf", "nope"])
+        properties.resolve(["wilf", "nope"])
+    # "all" selects every property only once every other name is known
+    for selection in (["all", "nope"], ["nope", "all"]):
+        with pytest.raises(UnknownProperty, match="'nope'"):
+            campaign.run_campaign(5, selection)
 
 
 def test_resolve_all():
-    assert campaign.resolve_properties("all") == campaign.PROPERTIES
-    assert campaign.resolve_properties(None) == campaign.PROPERTIES
-    assert campaign.resolve_properties(["all"]) == campaign.PROPERTIES
+    assert properties.resolve("all") == properties.PROPERTIES
+    assert properties.resolve(None) == properties.PROPERTIES
+    assert properties.resolve(["all"]) == properties.PROPERTIES
+
+
+def test_registry_reads_every_name():
+    # one rule for a name: hyphens read as underscores, anything else is
+    # UnknownProperty quoting the name as given, for check() as for resolve()
+    assert properties.resolve("pf-formula") == ("pf_formula",)
+    assert properties.resolve(["type", "wilf-equality", "type"]) == (
+        "wilf_equality", "type")
+    assert properties.resolve([]) == ()
+    s = core.from_generators([2, 7])
+    assert (properties.check("wilf-equality", s)
+            == properties.check("wilf_equality", s))
+    for name in ("nope", "nope-x", "all"):
+        with pytest.raises(UnknownProperty, match="property %r;" % name):
+            properties.check(name, s)
+    with pytest.raises(UnknownProperty, match="'nope-x'"):
+        properties.resolve(["wilf", "nope-x"])
 
 
 def test_bad_bounds():
@@ -379,7 +412,7 @@ def test_report_json_shape(report12):
     assert d["max_genus"] == 12
     assert d["passed"] is True
     assert d["property_failures"] == []
-    assert set(d["checked"]) == set(campaign.PROPERTIES)
+    assert set(d["checked"]) == set(properties.PROPERTIES)
     assert "wall_time" in d
     assert "wall_time" not in report12.to_json_dict(include_wall_time=False)
     # round-trips through json
@@ -472,9 +505,9 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
 
     monkeypatch.setattr(tree, "_remove_generator", recorded)
     monkeypatch.setattr(campaign, "_remove_generator", recorded)
-    selections = [(p,) for p in campaign.PROPERTIES]
+    selections = [(p,) for p in properties.PROPERTIES]
     selections += [("wilf", "genus_bound"), ("wilf", "type"),
-                   campaign.PROPERTIES]
+                   properties.PROPERTIES]
     for names in selections:
         has = bool(MASK_READERS.intersection(names))
         carried.clear()
@@ -535,7 +568,32 @@ def test_subset_failures_filed_by_name(monkeypatch):
     assert dict(rep.checked) == alone
 
 
-@pytest.mark.parametrize("prop", campaign.PROPERTIES)
+@pytest.mark.parametrize("clause", ["genus_and_frobenius", "wilf_on_t"])
+def test_broken_closed_gap_clause_is_caught(clause, monkeypatch, capsys):
+    # each inner clause of the closed_gap_wilf verdict fails on its own: a
+    # closure that returns S itself keeps the genus, and a Wilf test that
+    # fails every T fails each node whose T is nontrivial; a campaign in
+    # this process and in pool workers, and `check`, all report it
+    nodes = [s for s in tree.walk(10) if not s.is_trivial
+             and s.min_generators[-1] == 2 * s.genus + 1]
+    if clause == "genus_and_frobenius":
+        monkeypatch.setattr(maxgen, "close_largest_gap", lambda s: s)
+    else:
+        nodes = [s for s in nodes
+                 if not maxgen.close_largest_gap(s).is_trivial]
+        monkeypatch.setattr(maxgen, "_wilf_holds", lambda s: False)
+    want = sorted(s.min_generators for s in nodes)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    forked = multiprocessing.get_start_method() == "fork"
+    for jobs in (1, 2) if forked else (1,):
+        rep = campaign.run_campaign(10, ["closed_gap_wilf"], jobs)
+        assert _failed(rep, "closed_gap_wilf") == want, jobs
+    assert cli.main(["check", "closed_gap_wilf",
+                     CHECK_FIXTURES["closed_gap_wilf"]]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
+
+
+@pytest.mark.parametrize("prop", properties.PROPERTIES)
 def test_single_definition_reaches_both_commands(prop, monkeypatch, capsys):
     # a verdict broken in the registry fails the campaign and `check` alike
     for row in properties.ROWS:

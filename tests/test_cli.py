@@ -319,6 +319,78 @@ def test_verify_bad_property(capsys):
     assert "unknown property" in err
 
 
+UNKNOWN = ("error: unknown property %r; known: "
+           + ", ".join(properties.PROPERTIES) + "\n")
+
+
+def test_unknown_property_anywhere_in_the_list(capsys):
+    # every name is read before "all" is honoured, and check and verify
+    # quote an unknown name as it was typed
+    for props in ("all,nope", "nope,all", "wilf, nope"):
+        assert run(capsys, "verify", "--max-genus", "3",
+                   "--properties", props) == (2, "", UNKNOWN % "nope"), props
+    assert run(capsys, "verify", "--max-genus", "3",
+               "--properties", "nope-x") == (2, "", UNKNOWN % "nope-x")
+    assert run(capsys, "check", "nope-x", "3,5,7") == (
+        2, "", UNKNOWN % "nope-x")
+    # the name is read before the generators, which here are invalid (3)
+    assert run(capsys, "check", "nope", "2,4") == (2, "", UNKNOWN % "nope")
+    assert run(capsys, "check", "all", "3,5") == (2, "", UNKNOWN % "all")
+
+
+def test_verify_hyphenated_names(capsys):
+    code, out, err = run(capsys, "verify", "--max-genus", "6", "--json",
+                         "--properties", "pf-formula,wilf-equality")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["properties"] == ["wilf_equality", "pf_formula"]
+
+
+def test_verify_failure_output(capsys, monkeypatch):
+    # a failing campaign exits 1 in every format; the table lists each
+    # witness under its property after the FAIL line
+    for row in properties.ROWS:
+        if row.name == "type":
+            monkeypatch.setattr(row, "holds", lambda s: False)
+    argv = ("verify", "--max-genus", "3", "--properties", "type")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert re.sub(r"\(\d+\.\d\ds\)", "(T)", out).splitlines()[-9:] == [
+        "properties: type",
+        "checked: type=6",
+        "result: FAIL, 6 failure(s) (T)",
+        "  type: <2,3>",
+        "  type: <2,5>",
+        "  type: <2,7>",
+        "  type: <3,4,5>",
+        "  type: <3,5,7>",
+        "  type: <4,5,6,7>"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["property_failures"] == [
+        ["type", w] for w in ([2, 3], [2, 5], [2, 7], [3, 4, 5], [3, 5, 7],
+                              [4, 5, 6, 7])]
+    assert run(capsys, *argv, "--format", "csv")[0] == 1
+
+
+def test_verify_count_identity_witness_is_a_genus(capsys, monkeypatch):
+    # <3, 5> left out of the symmetric tally breaks the count identity at
+    # genus 3, whose witness line reads like a generator list
+    real = campaign.domains
+
+    def unsymmetric_3_5(s):
+        key = real(s)
+        return (key & ~properties.SYMMETRIC if s.min_generators == (3, 5)
+                else key)
+
+    monkeypatch.setattr(campaign, "domains", unsymmetric_3_5)
+    code, out, _ = run(capsys, "verify", "--max-genus", "8",
+                       "--properties", "correspondence")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2].startswith("result: FAIL, 1 failure(s) (")
+    assert lines[-1] == "  correspondence: <3>"
+
+
 def test_verify_empty_property_list(tmp_path, capsys):
     # no name at all is a usage error, not a run of every property; the
     # --out file is neither created nor emptied
@@ -514,7 +586,7 @@ def test_check_domain_sweep():
     assert len(nodes) == 274
     for s in nodes:
         gens = list(s.min_generators)
-        for prop in campaign.PROPERTIES:
+        for prop in properties.PROPERTIES:
             want = _precondition(prop, s)
             if want is None:
                 code, rec = cli.cmd_check(prop, gens)
