@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import stat
 import sys
 from functools import cache
@@ -28,6 +29,16 @@ from .errors import (
 
 SCHEMA_VERSION = "1"
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits, a ValueError for
+    anything else: int() alone also reads "3_0" and other scripts' digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
 
 def _parse_gens(text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
@@ -38,7 +49,7 @@ def _parse_gens(text: str) -> list[int]:
     out = []
     for p in parts:
         try:
-            v = int(p)
+            v = _int(p)
         except ValueError:
             raise ValueError("not an integer: %r" % p) from None
         if v < 1:
@@ -110,7 +121,7 @@ def cmd_check(prop: str, gens: list[int]) -> tuple[int, dict]:
 def cmd_construct(kind: str, raw: str) -> dict:
     if kind == "notiz-family":
         try:
-            m, f = (int(p.strip()) for p in raw.split(","))
+            m, f = (_int(p.strip()) for p in raw.split(","))
         except ValueError:
             raise ValueError(
                 "notiz-family takes two integers 'm,f'") from None
@@ -156,8 +167,7 @@ def cmd_construct(kind: str, raw: str) -> dict:
         "embedding_dimension": t.embedding_dimension,
         "genus": t.genus,
         "frobenius": t.frobenius,
-        "wilf": (None if t.is_trivial
-                 else dict(vars(maxgen.wilf_report(t)))),
+        "wilf": None if t.is_trivial else maxgen.wilf_report(t),
     }
     if s.min_generators[-1] > 2 * s.min_generators[0]:
         d = maxgen.distinguished_set_for_closed(s)
@@ -214,7 +224,7 @@ def _is_std_stream(st: os.stat_result) -> bool:
 
 
 def cmd_verify(max_genus: int, selection, jobs: int,
-               out_path: str | None, fmt: str) -> int:
+               out_path: str | None) -> campaign.CampaignReport:
     props = properties.resolve(selection)
     if not out_path:
         report = campaign.run_campaign(max_genus, props, jobs)
@@ -245,13 +255,30 @@ def cmd_verify(max_genus: int, selection, jobs: int,
             if report is not None and isinstance(exc, OSError):
                 raise _cannot_write(out_path, exc) from None
             raise
+    return report
+
+
+def _print_verify(report: campaign.CampaignReport, fmt: str) -> None:
     if fmt == "jsonl":
         print(json.dumps(report.to_json_dict()))
     elif fmt == "csv":
         _print_verify_csv(report)
     else:
         _print_verify_table(report)
-    return 0 if report.passed else 1
+
+
+def _silence_stdout() -> None:
+    """Point fd 1 at os.devnull once a write to stdout has failed, so that
+    the interpreter's flush at exit neither prints "Exception ignored" nor
+    turns the exit code into 120.  A stdout without a file descriptor, such
+    as an in-process caller's StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 @cache
@@ -302,21 +329,33 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     fmt = "jsonl" if args.json else (args.format or "jsonl")
     try:
-        if args.subcommand == "info":
-            _emit(cmd_info(_parse_gens(args.gens)), fmt)
-            return 0
-        if args.subcommand == "check":
-            code, record = cmd_check(args.property, _parse_gens(args.gens))
-            _emit(record, fmt)
-            return code
-        if args.subcommand == "construct":
-            _emit(cmd_construct(args.kind, args.args), fmt)
-            return 0
-        props = [p.strip() for p in args.properties.split(",") if p.strip()]
-        if not props:
-            raise CampaignConfigError("empty property list")
-        vfmt = "table" if args.format is None and not args.json else fmt
-        return cmd_verify(args.max_genus, props, args.jobs, args.out, vfmt)
+        if args.subcommand == "verify":
+            props = [p.strip() for p in args.properties.split(",")
+                     if p.strip()]
+            if not props:
+                raise CampaignConfigError("empty property list")
+            result = cmd_verify(args.max_genus, props, args.jobs, args.out)
+            code, show = (0 if result.passed else 1), _print_verify
+            if args.format is None and not args.json:
+                fmt = "table"
+        else:
+            show = _emit
+            if args.subcommand == "info":
+                code, result = 0, cmd_info(_parse_gens(args.gens))
+            elif args.subcommand == "check":
+                code, result = cmd_check(args.property,
+                                         _parse_gens(args.gens))
+            else:
+                code, result = 0, cmd_construct(args.kind, args.args)
+        # only these writes reach stdout; a failed one, such as a closed
+        # pipe's or a full disk's, is a usage error like --out's
+        try:
+            show(result, fmt)
+            sys.stdout.flush()
+        except OSError as exc:
+            _silence_stdout()
+            raise _cannot_write("stdout", exc) from None
+        return code
     except (ValueError, CampaignConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

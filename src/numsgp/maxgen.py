@@ -48,62 +48,6 @@ class ShiftIdeal:
         return z >= self.base.conductor or bool(self.mask >> z & 1)
 
 
-@dataclass(frozen=True)
-class WilfReport:
-    """Exact-rational evaluation of g/(F+1) <= (e-1)/e.
-
-    count_form_holds records the equivalent member-count form
-    e * (F + 1 - g) >= F + 1; the two verdicts agree for every semigroup.
-    """
-
-    e: int
-    g: int
-    f: int
-    m: int
-    lhs: Fraction
-    rhs: Fraction
-    margin: Fraction
-    holds: bool
-    count_form_holds: bool
-
-
-@dataclass(frozen=True)
-class ReflectedGapReport:
-    """Three equivalent descriptions of a_e = 2g + 1, evaluated separately.
-
-    cond_i:   a_e = 2g + 1
-    cond_ii:  m + RG(f, S) = Ap(S) minus {0, f + m}, as sets
-    cond_iii: a_e = f + m and |RG(f, S)| = m - 2
-    equivalent: cond_i, cond_ii and cond_iii agree
-
-    where f = F(S) and RG(n, S) = {L in [1, n-1] : L not in S, n - L not in
-    S}.  rg_f_plus_m is reported as well because the equivalence proof runs
-    through RG(f + m, S) being empty.
-    """
-
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
-    equivalent: bool
-    rg_f: tuple[int, ...]
-    rg_f_plus_m: tuple[int, ...]
-    apery_minus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InequalityChain:
-    """Inequality forms that bracket Wilf's inequality for a_e = 2g + 1.
-
-    mult_form_holds:      (m - 2)(e - 1) <= (e - 2) g        on S
-    symmetric_form_holds: g' >= 1 + (m' - 2) e' / (e' - 1)   on S' = S minus {a_e}
-    wilf_holds:           g e <= (e - 1)(F + 1)              on S
-    """
-
-    mult_form_holds: bool
-    symmetric_form_holds: bool
-    wilf_holds: bool
-
-
 def _require_nontrivial(s: Semigroup) -> None:
     if s.is_trivial:
         raise IsTrivial("operation undefined for the full semigroup of "
@@ -191,24 +135,34 @@ def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
             ae == f + m and rgf.bit_count() == m - 2, rgf, ap)
 
 
-def reflected_gap_report(s: Semigroup) -> ReflectedGapReport:
-    """Evaluate the three descriptions of a_e = 2g + 1 independently.
+def reflected_gap_report(s: Semigroup) -> dict:
+    """The three descriptions of a_e = 2g + 1, evaluated independently,
+    as a fresh dict:
 
-    The three verdicts agree on every numerical semigroup; the campaign
-    checks exactly that.
+      cond_i:     a_e = 2g + 1
+      cond_ii:    m + RG(f, S) = Ap(S) minus {0, f + m}, as sets
+      cond_iii:   a_e = f + m and |RG(f, S)| = m - 2
+      equivalent: cond_i, cond_ii and cond_iii agree, as they do on every
+                  numerical semigroup; the campaign checks exactly that
+      rg_f, rg_f_plus_m, apery_minus: RG(f, S), RG(f + m, S) and Ap(S)
+                  minus {0, f + m}, ascending
+
+    where f = F(S) and RG(n, S) = {L in [1, n-1] : L not in S, n - L not in
+    S}.  rg_f_plus_m is there because the equivalence proof runs through
+    RG(f + m, S) being empty.
     """
     _require_nontrivial(s)
     cond_i, cond_ii, cond_iii, rgf, ap = _reflected_gap_verdicts(s)
     rgfm = _rg_mask(s, s.frobenius + s.multiplicity)
-    return ReflectedGapReport(
-        cond_i=cond_i,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        equivalent=cond_i == cond_ii == cond_iii,
-        rg_f=tuple(_bit_positions(rgf)),
-        rg_f_plus_m=tuple(_bit_positions(rgfm)),
-        apery_minus=tuple(_bit_positions(ap)),
-    )
+    return {
+        "cond_i": cond_i,
+        "cond_ii": cond_ii,
+        "cond_iii": cond_iii,
+        "equivalent": cond_i == cond_ii == cond_iii,
+        "rg_f": tuple(_bit_positions(rgf)),
+        "rg_f_plus_m": tuple(_bit_positions(rgfm)),
+        "apery_minus": tuple(_bit_positions(ap)),
+    }
 
 
 def _canonical_masks(s: Semigroup) -> tuple[int, int]:
@@ -255,38 +209,47 @@ def _wilf_holds(s: Semigroup) -> bool:
     return s.genus * e <= (e - 1) * (s.frobenius + 1)
 
 
-def wilf_report(s: Semigroup) -> WilfReport:
-    """Evaluate g/(F+1) <= (e-1)/e exactly, plus the member-count form."""
+def wilf_report(s: Semigroup) -> dict:
+    """Wilf's inequality g/(F+1) <= (e-1)/e, evaluated exactly, as a fresh
+    dict: e, g, f, m; the Fractions lhs, rhs and margin = rhs - lhs; holds;
+    and count_form_holds, the member-count form e * (F + 1 - g) >= F + 1,
+    which agrees with holds on every semigroup."""
     _require_nontrivial(s)
     e = len(s.min_generators)
     g = s.genus
     f = s.frobenius
     lhs = Fraction(g, f + 1)
     rhs = Fraction(e - 1, e)
-    return WilfReport(
-        e=e, g=g, f=f, m=s.multiplicity,
-        lhs=lhs, rhs=rhs, margin=rhs - lhs,
-        holds=_wilf_holds(s),
-        count_form_holds=e * (f + 1 - g) >= f + 1,
-    )
+    return {
+        "e": e, "g": g, "f": f, "m": s.multiplicity,
+        "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
+        "holds": _wilf_holds(s),
+        "count_form_holds": e * (f + 1 - g) >= f + 1,
+    }
 
 
-def maxgen_inequality_chain(s: Semigroup) -> InequalityChain:
-    """Check (m-2)(e-1) <= (e-2)g on S and the genus bound on S minus {a_e}.
+def maxgen_inequality_chain(s: Semigroup) -> dict:
+    """The inequality forms that bracket Wilf's inequality for a_e = 2g + 1,
+    as a fresh dict:
 
-    Both follow from, and together are as strong as, Wilf's inequality for
-    max-generated S with e > 2, so all three verdicts must agree.
+      mult_form_holds:      (m - 2)(e - 1) <= (e - 2) g on S
+      symmetric_form_holds: g' >= 1 + (m' - 2) e' / (e' - 1) on S - {a_e}
+      wilf_holds:           g e <= (e - 1)(F + 1) on S
+
+    The first two follow from, and together are as strong as, Wilf's
+    inequality for max-generated S with e > 2, so all three must agree.
     """
     _require_max_generated(s)
     e = len(s.min_generators)
     if e <= 2:
         raise EmbeddingDimTooSmall(
             "inequality chain needs e > 2, got e = %d" % e)
-    return InequalityChain(
-        mult_form_holds=(s.multiplicity - 2) * (e - 1) <= (e - 2) * s.genus,
-        symmetric_form_holds=_genus_bound_forms(to_symmetric(s))[0],
-        wilf_holds=_wilf_holds(s),
-    )
+    return {
+        "mult_form_holds":
+            (s.multiplicity - 2) * (e - 1) <= (e - 2) * s.genus,
+        "symmetric_form_holds": _genus_bound_forms(to_symmetric(s))[0],
+        "wilf_holds": _wilf_holds(s),
+    }
 
 
 def _genus_bound_forms(t: Semigroup) -> tuple[bool, bool]:

@@ -184,7 +184,8 @@ def _embedding_dim_above_2(s):
 
 def _inequality_chain(s):
     r = maxgen.maxgen_inequality_chain(s)
-    return r.mult_form_holds and r.symmetric_form_holds and r.wilf_holds
+    return (r["mult_form_holds"] and r["symmetric_form_holds"]
+            and r["wilf_holds"])
 
 
 def count_failures(names: tuple, mg: list, sym: list) -> list:
@@ -201,7 +202,7 @@ def count_failures(names: tuple, mg: list, sym: list) -> list:
 # -- check records ------------------------------------------------------------
 
 def _wilf_equality_record(s):
-    margin = maxgen.wilf_report(s).margin
+    margin = maxgen.wilf_report(s)["margin"]
     return {"applicable": _equality_family(s), "margin": margin,
             "margin_zero": margin == 0}
 
@@ -250,8 +251,7 @@ def _closed_gap_wilf_record(s):
     gens = s.min_generators
     t = maxgen.close_largest_gap(s)
     out = {"closed": list(t.min_generators), "genus": t.genus,
-           "wilf": (None if t.is_trivial
-                    else dict(vars(maxgen.wilf_report(t)))),
+           "wilf": None if t.is_trivial else maxgen.wilf_report(t),
            "distinguished_set": None, "pf_match": None}
     if gens[-1] > 2 * gens[0]:
         d = maxgen.distinguished_set_for_closed(s)
@@ -273,15 +273,13 @@ def _genus_bound_record(s):
 
 
 ROWS = (
-    # a report's record copies its fields: check writes holds into it
-    Row("wilf", ALL, maxgen._wilf_holds,
-        lambda s: dict(vars(maxgen.wilf_report(s))),
+    Row("wilf", ALL, maxgen._wilf_holds, maxgen.wilf_report,
         "numsgp.maxgen.wilf_report"),
     Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
         "numsgp.maxgen.wilf_report", applies=_equality_family),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
-        lambda s: dict(vars(maxgen.reflected_gap_report(s))),
-        "numsgp.maxgen.reflected_gap_report", reads_masks=True),
+        maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report",
+        reads_masks=True),
     Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
         _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
@@ -306,7 +304,7 @@ ROWS = (
         applies=_frobenius_above_multiplicity),
     # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain
     Row("inequality_chain", MAXGEN, _inequality_chain,
-        lambda s: dict(vars(maxgen.maxgen_inequality_chain(s))),
+        maxgen.maxgen_inequality_chain,
         "numsgp.maxgen.maxgen_inequality_chain",
         applies=_embedding_dim_above_2),
 )

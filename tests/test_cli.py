@@ -93,6 +93,23 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit):
         cli.main(["construct", "bad-kind", "2,3"])
     capsys.readouterr()
+    # an entry is an optional sign and ASCII digits: int()'s underscores
+    # and other scripts' digits are not integers here
+    for text, code, err in (
+            ("3_0,7", 2, "error: not an integer: '3_0'\n"),
+            ("\uff13,\uff15", 2, "error: not an integer: '\uff13'\n"),
+            ("3,\u0665", 2, "error: not an integer: '\u0665'\n"),
+            ("-3", 2, "error: generators must be positive, got -3\n"),
+            ("0", 2, "error: generators must be positive, got 0\n"),
+            (",3", 2, "error: not an integer: ''\n"),
+            ("3,,5", 2, "error: not an integer: ''\n"),
+            ("3;5", 2, "error: not an integer: '3;5'\n"),
+            ("3,5,", 0, ""), ("+3, 5 ", 0, ""), ("003,5", 0, "")):
+        assert run(capsys, "info", text)[::2] == (code, err), text
+    _, rec = run_json(capsys, "info", "+3, 5 ")
+    assert rec["input"] == [3, 5]
+    assert run(capsys, "construct", "notiz-family", "4,5_0") == (
+        2, "", "error: notiz-family takes two integers 'm,f'\n")
 
 
 def test_error_message_names_precondition(capsys):
@@ -500,6 +517,60 @@ def test_verify_out_write_error(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write /dev/full: ")
     assert err.count("\n") == 1
+
+
+def _cli_process(argv, **kw):
+    # stdout block-buffered, as a pipe's or a file's is by default, so that
+    # a failed write leaves output behind for the interpreter's exit flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "numsgp.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kw)
+
+
+def test_stdout_closed_pipe():
+    # a reader that leaves after one byte of a record far larger than a
+    # pipe's buffer: a usage error with one line, not an internal error
+    proc = _cli_process(["info", "701,1100,1350"], stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(60) == 2
+    assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_full_device(tmp_path):
+    # stdout on a full device: exit 2 and one line, and an --out report
+    # written before stdout failed stays whole
+    path = tmp_path / "report.json"
+    for argv in (["info", "3,5,7"], ["verify", "--max-genus", "6"],
+                 ["verify", "--max-genus", "6", "--out", str(path)]):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(argv, stdout=full)
+            err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (
+            2, b"error: cannot write stdout: No space left on device\n"), \
+            argv
+    rep = json.loads(path.read_text())
+    assert (rep["counts_by_genus"], rep["passed"]) == (
+        [1, 1, 2, 4, 7, 12, 23], True)
+
+
+def test_stdout_failure_in_process(capsys, monkeypatch):
+    # an in-process stdout without a file descriptor is reported on and
+    # left in place
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    full = Full()
+    monkeypatch.setattr(sys, "stdout", full)
+    assert cli.main(["info", "3,5,7"]) == 2
+    assert sys.stdout is full
+    assert capsys.readouterr().err == (
+        "error: cannot write stdout: No space left on device\n")
 
 
 def test_verify_interrupted(tmp_path, capsys, monkeypatch):

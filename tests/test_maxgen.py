@@ -106,22 +106,22 @@ def test_reflected_gaps():
 
 def test_reflected_gap_report():
     r = maxgen.reflected_gap_report(S(3, 5, 7))
-    assert (r.cond_i, r.cond_ii, r.cond_iii) == (True, True, True)
-    assert r.rg_f == (2,)
-    assert r.rg_f_plus_m == ()
-    assert r.apery_minus == (5,)
+    assert (r["cond_i"], r["cond_ii"], r["cond_iii"]) == (True, True, True)
+    assert r["rg_f"] == (2,)
+    assert r["rg_f_plus_m"] == ()
+    assert r["apery_minus"] == (5,)
 
     r = maxgen.reflected_gap_report(S(7, 11, 16, 17, 19))
-    assert (r.cond_i, r.cond_ii, r.cond_iii) == (False, False, False)
+    assert (r["cond_i"], r["cond_ii"], r["cond_iii"]) == (False, False, False)
     # the count half of cond_iii alone is satisfied: |RG(f)| = 5 = m - 2
-    assert len(r.rg_f) == 5 == 7 - 2
+    assert len(r["rg_f"]) == 5 == 7 - 2
     assert S(7, 11, 16, 17, 19).min_generators[-1] != 20 + 7
 
     # family <m, f+1..f+m> with f = m+2: a_e = f+m yet not max-generated
     s = maxgen.notiz_family(5, 7)
     r = maxgen.reflected_gap_report(s)
     assert s.min_generators[-1] == s.frobenius + s.multiplicity
-    assert not r.cond_i and not r.cond_ii and not r.cond_iii
+    assert not r["cond_i"] and not r["cond_ii"] and not r["cond_iii"]
 
     with pytest.raises(IsTrivial):
         maxgen.reflected_gap_report(S(1))
@@ -208,18 +208,18 @@ def test_type_is_e_minus_one_when_max_generated():
 
 def test_wilf_report():
     r = maxgen.wilf_report(S(3, 5, 7))
-    assert (r.e, r.g, r.f, r.m) == (3, 3, 4, 3)
-    assert r.lhs == Fraction(3, 5)
-    assert r.rhs == Fraction(2, 3)
-    assert r.margin == Fraction(1, 15)
-    assert r.holds and r.count_form_holds
+    assert (r["e"], r["g"], r["f"], r["m"]) == (3, 3, 4, 3)
+    assert r["lhs"] == Fraction(3, 5)
+    assert r["rhs"] == Fraction(2, 3)
+    assert r["margin"] == Fraction(1, 15)
+    assert r["holds"] and r["count_form_holds"]
 
     r = maxgen.wilf_report(S(3, 4, 5))
-    assert r.margin == 0 and r.holds
+    assert r["margin"] == 0 and r["holds"]
 
     r = maxgen.wilf_report(S(2, 3))
-    assert r.lhs == Fraction(1, 2) == r.rhs
-    assert r.margin == 0
+    assert r["lhs"] == Fraction(1, 2) == r["rhs"]
+    assert r["margin"] == 0
 
     with pytest.raises(IsTrivial):
         maxgen.wilf_report(S(1))
@@ -229,19 +229,20 @@ def test_wilf_report_forms_agree():
     for gens in ([3, 5, 7], [3, 4], [7, 11, 16, 17, 19], [4, 9, 11],
                  [2, 101], [6, 10, 15]):
         r = maxgen.wilf_report(S(*gens))
-        assert r.holds == r.count_form_holds
-        assert r.holds == (r.margin >= 0)
+        assert r["holds"] == r["count_form_holds"]
+        assert r["holds"] == (r["margin"] >= 0)
 
 
 def test_inequality_chain():
     r = maxgen.maxgen_inequality_chain(S(3, 5, 7))
-    assert r.mult_form_holds and r.symmetric_form_holds and r.wilf_holds
-    assert maxgen.maxgen_inequality_chain(S(4, 6, 7, 9)).mult_form_holds
+    assert (r["mult_form_holds"] and r["symmetric_form_holds"]
+            and r["wilf_holds"])
+    assert maxgen.maxgen_inequality_chain(S(4, 6, 7, 9))["mult_form_holds"]
     # family <m, m+2, ..., 2m+1> at m = 5
     fam = maxgen.notiz_family(5, 6)
     assert (5 - 2) * (fam.embedding_dimension - 1) <= \
         (fam.embedding_dimension - 2) * fam.genus
-    assert maxgen.maxgen_inequality_chain(fam).wilf_holds
+    assert maxgen.maxgen_inequality_chain(fam)["wilf_holds"]
     with pytest.raises(EmbeddingDimTooSmall):
         maxgen.maxgen_inequality_chain(S(2, 3))
     with pytest.raises(NotMaxGenerated):

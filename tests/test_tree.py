@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import kunz_oracle
 import subset_oracle as oracle
 from numsgp import campaign, tree
 from numsgp.core import _remove_generator, from_generators
@@ -52,6 +53,13 @@ def test_children_genus_and_removables():
     # the walk visits the same children, last pushed first
     walked = [x for x in tree.walk(s.genus + 1, s) if x.genus == s.genus + 1]
     assert walked == kids[::-1]
+
+
+def test_counts_match_the_kunz_census():
+    # every genus count of the walk, against an enumeration of Apery sets
+    # that shares no code with the tree
+    assert list(campaign.run_campaign(18, [], 1).counts_by_genus) == \
+        kunz_oracle.count_by_genus(18)
 
 
 def test_counts_by_genus():
