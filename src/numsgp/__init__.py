@@ -7,13 +7,12 @@ and exhaustive verification campaigns (:mod:`numsgp.campaign`).  The
 ``numsgp`` console script fronts all of it.
 """
 
-from .core import AperyTable, Semigroup, from_generators
+from .core import Semigroup, from_generators
 from .errors import SemigroupError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyTable",
     "Semigroup",
     "SemigroupError",
     "from_generators",

@@ -14,13 +14,12 @@ import argparse
 import csv
 import json
 import os
-import re
 import stat
 import sys
 from functools import cache
 
 from . import campaign, maxgen, properties
-from .core import from_generators
+from .core import _int, from_generators
 from .errors import (
     CampaignConfigError,
     InvalidSemigroupInput,
@@ -28,16 +27,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = "1"
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _int(text: str) -> int:
-    """int(text) for an optional sign and ASCII digits, a ValueError for
-    anything else: int() alone also reads "3_0" and other scripts' digits."""
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -100,7 +89,7 @@ def cmd_info(gens: list[int]) -> dict:
         "conductor": s.conductor,
         "gaps": list(s.gaps()),
         "sporadic": list(s.sporadic_elements()),
-        "apery": list(s.apery_set().entries),
+        "apery": list(s.apery_set()),
         "pf": None if trivial else list(s.pseudo_frobenius()),
         "type": None if trivial else s.type_number(),
         "is_symmetric": None if trivial else s.is_symmetric(),
@@ -226,7 +215,7 @@ def _is_std_stream(st: os.stat_result) -> bool:
 def cmd_verify(max_genus: int, selection, jobs: int,
                out_path: str | None) -> campaign.CampaignReport:
     props = properties.resolve(selection)
-    if not out_path:
+    if out_path is None:
         report = campaign.run_campaign(max_genus, props, jobs)
     else:
         # opened before the run so that a bad path fails at once; append
@@ -314,10 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt_parent],
                        help="exhaustive campaign over the genus tree")
-    p.add_argument("--max-genus", type=int, required=True)
+    p.add_argument("--max-genus", type=_int, required=True)
     p.add_argument("--properties", default="all",
                    help="comma-separated check names, or 'all'")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int, default=1,
                    help="worker processes, at most the CPU count and the "
                         "work items (default 1)")
     p.add_argument("--out", default=None,

@@ -70,7 +70,7 @@ the parent lost.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import re
 from itertools import compress
 from math import gcd
 from typing import Iterable
@@ -84,6 +84,17 @@ from .errors import (
 
 DEFAULT_CONDUCTOR_CAP = 2**31
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits, a ValueError for
+    anything else: int() alone also reads "3_0" and other scripts' digits.
+    Every integer read from outside the library goes through it."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
 
 def conductor_cap() -> int:
     """Active conductor bound; NUMSGP_MAX_CONDUCTOR overrides the default.
@@ -95,7 +106,7 @@ def conductor_cap() -> int:
     if not raw:
         return DEFAULT_CONDUCTOR_CAP
     try:
-        cap = int(raw)
+        cap = _int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
@@ -185,18 +196,6 @@ def _pf_mask(s: Semigroup) -> int:
     return pf
 
 
-@dataclass(frozen=True)
-class AperyTable:
-    """Apery set of S with respect to its multiplicity m.
-
-    entries[r] is the least element of S congruent to r mod m, so
-    entries[0] == 0 and max(entries) == F + m.
-    """
-
-    modulus: int
-    entries: tuple[int, ...]
-
-
 class Semigroup:
     """Immutable numerical semigroup: a value that nothing writes to.
 
@@ -278,15 +277,17 @@ class Semigroup:
         return tuple(_bit_positions(
             self.members_mask & ((1 << self.frobenius) - 2)))
 
-    def apery_set(self) -> AperyTable:
-        """Least element of S in each residue class mod m."""
+    def apery_set(self) -> tuple[int, ...]:
+        """Apery set of S with respect to m, indexed by residue: entry r is
+        the least element of S congruent to r mod m, so entry 0 is 0 and
+        the largest entry is F + m."""
         if self._apery is not None:
             return self._apery
         m = self.multiplicity
         entries = [0] * m
         for n in _bit_positions(_apery_mask(self)):
             entries[n % m] = n
-        return AperyTable(m, tuple(entries))
+        return tuple(entries)
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps p with p + s in S for every positive s in S, ascending."""
@@ -457,7 +458,7 @@ def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
     mask = _mask_from_apery(apery, a1, conductor)
     s = Semigroup(min_gens, conductor, mask,
                   _reverse(mask, conductor, complement=True))
-    s._apery = AperyTable(a1, tuple(apery))
+    s._apery = tuple(apery)
     return s
 
 

@@ -13,7 +13,6 @@ distinguished gap sets, the interval-tail family) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
@@ -27,25 +26,6 @@ from .errors import (
     NotMaxGenerated,
     NotSymmetric,
 )
-
-
-@dataclass(frozen=True)
-class ShiftIdeal:
-    """An ideal of a semigroup, normalized to minimal element 0.
-
-    The ideal is the union of offset + base over the minimal offsets; every
-    integer above F(base) belongs to it.  Bit z of mask answers z in ideal
-    for z in [0, F(base)].
-    """
-
-    base: Semigroup
-    offsets: tuple[int, ...]
-    mask: int
-
-    def __contains__(self, z: int) -> bool:
-        if z < 0:
-            return False
-        return z >= self.base.conductor or bool(self.mask >> z & 1)
 
 
 def _require_nontrivial(s: Semigroup) -> None:
@@ -165,8 +145,8 @@ def reflected_gap_report(s: Semigroup) -> dict:
     }
 
 
-def _canonical_masks(s: Semigroup) -> tuple[int, int]:
-    """(K mask over [0, F], minimal-offset mask) for K = {z : F - z not in S}.
+def _canonical_offsets(s: Semigroup) -> int:
+    """Mask of the minimal offsets of K = {z : F - z not in S}.
 
     K over [0, F] is the gap mask mirrored over c bits (z to F - z), which
     is the mirror field of S.  An offset o is minimal when no positive
@@ -179,20 +159,21 @@ def _canonical_masks(s: Semigroup) -> tuple[int, int]:
     nonmin = 0
     for a in s.min_generators:
         nonmin |= k << a
-    return k, k & ~nonmin
+    return k & ~nonmin
 
 
-def canonical_ideal(s: Semigroup) -> ShiftIdeal:
-    """The canonical ideal K = {z : F(S) - z not in S}, minimal element 0.
+def canonical_ideal(s: Semigroup) -> tuple[int, ...]:
+    """The minimal offsets o of the canonical ideal K, ascending from 0.
 
-    Its minimal offsets equal {F - p : p in PF(S)}; for a_e = 2g + 1 they
-    also equal {a_i - a_1 : i < e}, which identifies K with the shifted set
-    {u - a_1 : u in S, u != a_e}.  Shifting all of S would wrongly include
-    a_e - a_1, which is why the largest generator is dropped first.
+    K is the union of o + S over the offsets, and z is in K iff F - z is
+    not in S.  The offsets equal {F - p : p in PF(S)}; for a_e = 2g + 1
+    they also equal {a_i - a_1 : i < e}, which identifies K with the
+    shifted set {u - a_1 : u in S, u != a_e}.  Shifting all of S would
+    wrongly include a_e - a_1, which is why the largest generator is
+    dropped first.
     """
     _require_nontrivial(s)
-    k, offs = _canonical_masks(s)
-    return ShiftIdeal(base=s, offsets=tuple(_bit_positions(offs)), mask=k)
+    return tuple(_bit_positions(_canonical_offsets(s)))
 
 
 def pf_formula_check(s: Semigroup) -> bool:

@@ -104,7 +104,7 @@ def _type(s):
 
 def _canonical_gens(s):
     gens = s.min_generators
-    _, offs = maxgen._canonical_masks(s)
+    offs = maxgen._canonical_offsets(s)
     if offs != _reverse(_pf_mask(s), s.conductor):
         return False
     if gens[-1] != 2 * s.genus + 1:
@@ -225,7 +225,7 @@ def _type_record(s):
 
 
 def _canonical_gens_record(s):
-    return {"offsets": list(maxgen.canonical_ideal(s).offsets),
+    return {"offsets": list(maxgen.canonical_ideal(s)),
             "expected": sorted(s.frobenius - p for p in s.pseudo_frobenius())}
 
 

@@ -12,25 +12,30 @@ that is, when the sum of two Apery elements is never below the Apery
 element of its residue class (Kunz 1987; Rosales, Garcia-Sanchez,
 Garcia-Garcia and Branco, J. London Math. Soc. 2002).  Each k_i >= 1, so
 genus g needs m <= g + 1; m = 1 is the semigroup of all nonnegative
-integers, genus 0.
+integers, genus 0.  The largest Apery element is F + m, so
+F = max(k_i * m + i) - m, and S is symmetric exactly when F + 1 = 2g.
 
 The enumeration shares nothing with the genus tree or with numsgp: it
 imports nothing from the package and walks the vectors directly.
 """
 
 
-def count_by_genus(max_genus):
-    """[number of numerical semigroups of genus g for g in 0..max_genus]."""
+def census(max_genus):
+    """(counts, symmetric): the numbers of numerical semigroups and of
+    symmetric ones of genus g, for g in 0..max_genus.  The semigroup of
+    all nonnegative integers counts as symmetric at genus 0."""
     counts = [0] * (max_genus + 1)
-    counts[0] = 1
+    symmetric = [0] * (max_genus + 1)
+    counts[0] = symmetric[0] = 1
     for m in range(2, max_genus + 2):
-        _count_multiplicity(m, max_genus, counts)
-    return counts
+        _count_multiplicity(m, max_genus, counts, symmetric)
+    return counts, symmetric
 
 
-def _count_multiplicity(m, max_genus, counts):
+def _count_multiplicity(m, max_genus, counts, symmetric):
     """Add to counts[g] the vectors (k_1, ..., k_{m-1}) of sum g <= max_genus
-    that satisfy both inequalities.
+    that satisfy both inequalities, and to symmetric[g] those with
+    F + 1 = 2g.
 
     The coordinates are chosen in the order k_1, k_2, ...  Each inequality
     is tested as soon as its last coordinate is chosen: the first one, whose
@@ -40,9 +45,12 @@ def _count_multiplicity(m, max_genus, counts):
     """
     k = [0] * m
 
-    def extend(i, total):
+    def extend(i, total, top):
+        # top is the largest Apery element so far, F + m at the end
         if i == m:
             counts[total] += 1
+            if top - m + 1 == 2 * total:
+                symmetric[total] += 1
             return
         # every later coordinate is at least 1
         room = max_genus - total - (m - 1 - i)
@@ -52,6 +60,6 @@ def _count_multiplicity(m, max_genus, counts):
             k[i] = v
             if all(k[i] + k[j] + 1 >= k[i + j - m]
                    for j in range(max(1, m - i + 1), i + 1)):
-                extend(i + 1, total + v)
+                extend(i + 1, total + v, max(top, v * m + i))
 
-    extend(1, 0)
+    extend(1, 0, 0)

@@ -86,14 +86,15 @@ def test_criterion_4_dual_identities(capsys, report18):
             assert name not in fails, name
         # the shift-everything shortcut overshoots by exactly a_e - a_1
         s = from_generators([3, 5, 7])
-        k = maxgen.canonical_ideal(s)
-        assert k.offsets == (0, 2)
+        f = s.frobenius
+        assert maxgen.canonical_ideal(s) == (0, 2)
         window = range(0, s.frobenius + 8)
         full_shift = {u - 3 for u in window if u in s and u >= 3}
         dropped = {u - 3 for u in window if u in s and u >= 3 and u != 7}
         assert full_shift - dropped == {4}
-        assert 4 not in k
-        assert dropped == {z for z in window if z in k and z <= max(dropped)}
+        assert f - 4 in s
+        assert dropped == {z for z in window
+                           if f - z not in s and z <= max(dropped)}
 
 
 def test_criterion_5_wilf_inequality(capsys, report18):

@@ -110,6 +110,17 @@ def test_exit_codes(capsys):
     assert rec["input"] == [3, 5]
     assert run(capsys, "construct", "notiz-family", "4,5_0") == (
         2, "", "error: notiz-family takes two integers 'm,f'\n")
+    # so do the integer options: argparse rejects the rest, naming the
+    # option, before any campaign runs
+    for option, argv in (
+            ("--max-genus", ["--max-genus", "1_0"]),
+            ("--jobs", ["--max-genus", "3", "--jobs", "\uff12"])):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv, "--format", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numsgp verify: error: argument %s: invalid" % option in err
 
 
 def test_error_message_names_precondition(capsys):
@@ -437,7 +448,11 @@ def test_conductor_cap_env(capsys, monkeypatch):
     assert run(capsys, "info", "23,29")[0] == 0
 
 
-def test_verify_out_unwritable(tmp_path, capsys):
+def _no_campaign(*args):
+    pytest.fail("the campaign ran")
+
+
+def test_verify_out_unwritable(tmp_path, capsys, monkeypatch):
     # the path is checked before the campaign runs: usage error, one line
     bad = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "verify", "--max-genus", "5",
@@ -448,6 +463,10 @@ def test_verify_out_unwritable(tmp_path, capsys):
     assert str(bad) in err
     assert run(capsys, "verify", "--max-genus", "5",
                "--out", str(tmp_path))[0] == 2
+    # an empty path is a path that cannot be opened, not a missing --out
+    monkeypatch.setattr(campaign, "run_campaign", _no_campaign)
+    assert run(capsys, "verify", "--max-genus", "5", "--out", "") == (
+        2, "", "error: cannot write : No such file or directory\n")
 
 
 def test_verify_out_kept_on_failed_run(tmp_path, capsys):
@@ -620,13 +639,13 @@ def test_check_internal_error(capsys, monkeypatch):
 
 
 def test_conductor_cap_env_invalid(capsys, monkeypatch):
-    for raw in ("abc", "0", "-7"):
+    for raw in ("abc", "0", "-7", "1_000", "\uff15"):
         monkeypatch.setenv("NUMSGP_MAX_CONDUCTOR", raw)
         code, out, err = run(capsys, "info", "3,5,7")
         assert code == 2
         assert out == ""
-        assert "NUMSGP_MAX_CONDUCTOR" in err
-        assert err.count("\n") == 1
+        assert err == ("error: NUMSGP_MAX_CONDUCTOR must be a positive "
+                       "integer, got %r\n" % raw)
 
 
 _MAXGEN_ONLY = {"frobenius_formula", "pf_formula", "type",

@@ -128,18 +128,19 @@ def test_reflected_gap_report():
 
 
 def test_canonical_ideal():
-    k = maxgen.canonical_ideal(S(3, 5, 7))
-    assert k.offsets == (0, 2)
-    assert [z for z in range(6) if z in k] == [0, 2, 3, 5]
-    assert 6 in k and 100 in k and -1 not in k
+    s = S(3, 5, 7)
+    f = s.frobenius
+    assert maxgen.canonical_ideal(s) == (0, 2)
+    assert [z for z in range(6) if f - z not in s] == [0, 2, 3, 5]
+    assert f - 6 not in s and f - 100 not in s and f + 1 in s
     # symmetric: K = S, single offset 0
     for gens in ([3, 4], [2, 7], [3, 5]):
         sym = S(*gens)
-        k = maxgen.canonical_ideal(sym)
-        assert k.offsets == (0,)
-        assert all((z in k) == (z in sym) for z in range(sym.conductor + 3))
-    assert maxgen.canonical_ideal(S(4, 6, 7, 9)).offsets == (0, 2, 3)
-    assert maxgen.canonical_ideal(S(7, 11, 16, 17, 19)).offsets == (0, 5, 8, 10)
+        assert maxgen.canonical_ideal(sym) == (0,)
+        assert all((sym.frobenius - z not in sym) == (z in sym)
+                   for z in range(sym.conductor + 3))
+    assert maxgen.canonical_ideal(S(4, 6, 7, 9)) == (0, 2, 3)
+    assert maxgen.canonical_ideal(S(7, 11, 16, 17, 19)) == (0, 5, 8, 10)
     with pytest.raises(IsTrivial):
         maxgen.canonical_ideal(S(1))
 
@@ -147,21 +148,21 @@ def test_canonical_ideal():
 def test_canonical_ideal_invariants():
     for gens in ([3, 5, 7], [4, 6, 7, 9], [7, 11, 16, 17, 19], [4, 9, 11]):
         s = S(*gens)
-        k = maxgen.canonical_ideal(s)
-        assert list(k.offsets) == oracle.canonical_offsets(gens)
-        assert 0 in k
+        offsets = maxgen.canonical_ideal(s)
+        assert list(offsets) == oracle.canonical_offsets(gens)
         f = s.frobenius
-        assert k.mask < 1 << (f + 1)
+        assert f - 0 not in s
+        assert s.mirror < 1 << (f + 1)
         # base is contained in the ideal, and the ideal in turn is the
         # union of offset + base
         for z in range(f + 2):
             if z in s:
-                assert z in k
-            in_union = any(z - o in s for o in k.offsets)
-            assert (z in k) == in_union
+                assert f - z not in s
+            in_union = any(z - o in s for o in offsets)
+            assert (f - z not in s) == in_union
         # minimality: no offset is another offset plus a positive member
-        for o in k.offsets:
-            for o2 in k.offsets:
+        for o in offsets:
+            for o2 in offsets:
                 d = o - o2
                 assert d <= 0 or d not in s
 
@@ -170,9 +171,9 @@ def test_canonical_offsets_match_pf_reflection():
     for gens in ([3, 5, 7], [4, 6, 7, 9], [3, 4], [7, 11, 16, 17, 19],
                  [4, 9, 11], [5, 8, 9], [6, 10, 15]):
         s = S(*gens)
-        k = maxgen.canonical_ideal(s)
         f = s.frobenius
-        assert list(k.offsets) == sorted(f - p for p in s.pseudo_frobenius())
+        assert list(maxgen.canonical_ideal(s)) == \
+            sorted(f - p for p in s.pseudo_frobenius())
 
 
 def test_shift_display_discrepancy():
@@ -180,13 +181,13 @@ def test_shift_display_discrepancy():
     # 4 = a_e - a_1, which is not in K; dropping a_e before shifting gives
     # exactly K.  This pins the one-sided mismatch down to element 4.
     s = S(3, 5, 7)
-    k = maxgen.canonical_ideal(s)
+    f = s.frobenius
     bound = 12
     full_shift = {u - 3 for u in range(25) if u in s} - {-3}
     dropped_shift = {u - 3 for u in range(25) if u in s and u != 7} - {-3}
     assert 4 in full_shift
-    assert 4 not in k
-    assert {z for z in range(bound) if z in k} == \
+    assert f - 4 in s
+    assert {z for z in range(bound) if f - z not in s} == \
         {z for z in dropped_shift if 0 <= z < bound}
     assert full_shift - dropped_shift == {4}
 
@@ -489,7 +490,7 @@ def test_reflection_masks_match_subset_oracle():
         for n in range(1, f + m + 3):
             assert _bits(maxgen._rg_mask(s, n)) \
                 == oracle.reflected_gaps(gens, n), (gens, n)
-        _, offs = maxgen._canonical_masks(s)
+        offs = maxgen._canonical_offsets(s)
         assert _bits(offs) == oracle.canonical_offsets(gens), gens
 
 
@@ -502,7 +503,8 @@ def test_reflection_masks_match_per_gap_loops():
         mask, c = s.members_mask, s.conductor
         for n in range(1, s.frobenius + s.multiplicity + 2):
             assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
-        assert maxgen._canonical_masks(s) == _canonical_masks_loop(s)
+        assert (s.mirror, maxgen._canonical_offsets(s)) == \
+            _canonical_masks_loop(s)
         pf = _pf_mask(s)
         assert tuple(_bits(pf)) == s.pseudo_frobenius() == _pf_loop(s)
         if maxgen.is_max_generated(s):
@@ -518,9 +520,9 @@ def test_reflection_masks_large_input():
         mask, c, f = s.members_mask, s.conductor, s.frobenius
         for n in (f, f + s.multiplicity):
             assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
-        k, offs = maxgen._canonical_masks(s)
-        assert offs == _canonical_masks_loop(s)[1]
-        ideal = maxgen.canonical_ideal(s)
-        assert ideal.mask == k
+        k, offs = _canonical_masks_loop(s)
+        assert maxgen._canonical_offsets(s) == offs
+        assert s.mirror == k
+        assert maxgen.canonical_ideal(s) == tuple(_bits(offs))
     s = maxgen.from_symmetric(S(151, 200))
     assert maxgen.reflection_map(s) == _reflection_map_loop(s)

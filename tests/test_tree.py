@@ -56,10 +56,15 @@ def test_children_genus_and_removables():
 
 
 def test_counts_match_the_kunz_census():
-    # every genus count of the walk, against an enumeration of Apery sets
-    # that shares no code with the tree
-    assert list(campaign.run_campaign(18, [], 1).counts_by_genus) == \
-        kunz_oracle.count_by_genus(18)
+    # every genus count of the walk, and of its symmetric and a_e = 2g + 1
+    # columns, against an enumeration of Apery sets that shares no code
+    # with the tree; the a_e = 2g + 1 semigroups of genus g are as many as
+    # the symmetric ones of genus g + 1
+    report = campaign.run_campaign(18, [], 1)
+    counts, symmetric = kunz_oracle.census(18)
+    assert list(report.counts_by_genus) == counts
+    assert list(report.symmetric_counts_by_genus) == symmetric
+    assert list(report.maxgen_counts_by_genus[:18]) == symmetric[1:]
 
 
 def test_counts_by_genus():
