@@ -98,13 +98,13 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
     all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
     row evaluations each of names had, one per applicable node and row; and
     (position in names, witness) pairs.  Each domain key is planned when a
-    node first has it, and its entry counts the nodes with that key by
-    genus; the columns are summed from those counts by flag, so the trivial
-    semigroup, whose key is TRIVIAL, is counted in both mg (1 = 2*0 + 1)
-    and sym (F + 1 = 0 = 2g).
+    node first has it, to the rows that apply to it, and its entry counts
+    the nodes with that key by genus.  The columns are summed from those
+    counts by flag, so the trivial semigroup, whose key is TRIVIAL, is
+    counted in both mg (1 = 2*0 + 1) and sym (F + 1 = 0 = 2g); checked is
+    summed from them by plan, each row of a key's plan once per node.
     """
     plans = {}
-    checked = [0] * len(names)
     failures: list = []
     for s in nodes:
         key = domains(s)
@@ -114,14 +114,16 @@ def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
             steps, census = plans[key] = (plan(names, key),
                                           [0] * (max_genus + 1))
         census[s.genus] += 1
-        for i, applies, holds in steps:
-            if applies is None or applies(s):
-                checked[i] += 1
-                if not holds(s):
-                    failures.append((i, s.min_generators))
+        for i, holds in steps:
+            if not holds(s):
+                failures.append((i, s.min_generators))
     columns = ([sum(c[g] for key, (_, c) in plans.items() if key & flags)
                 for g in range(max_genus + 1)]
                for flags in (~0, TRIVIAL | MAXGEN, TRIVIAL | SYMMETRIC))
+    checked = [0] * len(names)
+    for steps, census in plans.values():
+        for i, _ in steps:
+            checked[i] += sum(census)
     return (*columns, checked, failures)
 
 

@@ -16,7 +16,7 @@ import json
 import os
 import stat
 import sys
-from functools import cache
+from functools import cache, partial
 
 from . import campaign, maxgen, properties
 from .core import _int, from_generators
@@ -283,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt_parent = argparse.ArgumentParser(add_help=False)
     fmt_parent.add_argument("--format", choices=("jsonl", "table", "csv"),
                             default=None, help="output format")
-    fmt_parent.add_argument("--json", action="store_true",
-                            help="shorthand for --format jsonl")
+    fmt_parent.add_argument("--json", action="store_const", dest="format",
+                            const="jsonl", help="shorthand for --format jsonl")
 
     p = sub.add_parser("info", parents=[fmt_parent],
                        help="invariants of one semigroup")
@@ -301,12 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "close-gap", "notiz-family"))
     p.add_argument("args", help="generators, or 'm,f' for notiz-family")
 
+    # core._int, named for argparse's error line: "invalid int value: 'x'"
+    integer = partial(_int)
+    integer.__name__ = "int"
     p = sub.add_parser("verify", parents=[fmt_parent],
                        help="exhaustive campaign over the genus tree")
-    p.add_argument("--max-genus", type=_int, required=True)
+    p.add_argument("--max-genus", type=integer, required=True)
     p.add_argument("--properties", default="all",
                    help="comma-separated check names, or 'all'")
-    p.add_argument("--jobs", type=_int, default=1,
+    p.add_argument("--jobs", type=integer, default=1,
                    help="worker processes, at most the CPU count and the "
                         "work items (default 1)")
     p.add_argument("--out", default=None,
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fmt = "jsonl" if args.json else (args.format or "jsonl")
+    fmt = args.format or ("table" if args.subcommand == "verify" else "jsonl")
     try:
         if args.subcommand == "verify":
             props = [p.strip() for p in args.properties.split(",")
@@ -325,8 +328,6 @@ def main(argv=None) -> int:
                 raise CampaignConfigError("empty property list")
             result = cmd_verify(args.max_genus, props, args.jobs, args.out)
             code, show = (0 if result.passed else 1), _print_verify
-            if args.format is None and not args.json:
-                fmt = "table"
         else:
             show = _emit
             if args.subcommand == "info":

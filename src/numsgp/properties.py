@@ -23,18 +23,20 @@ give the same verdict.  Property names, in registry order:
   inequality_chain      a_e = 2g+1, e > 2: the multiplicity form and the
                         symmetric-partner form agree with the Wilf verdict
 
-A row has a domain (see domains()), an optional applies(s) that narrows
-it, the verdict holds(s), and record(s), the `check` result fields less
-holds, with the provenance string that goes beside them.  Only this
-module reads the domains and the names: `check` has one entry, check(),
-campaigns use resolve(), root(), plan() and count_failures(), and lookup()
-reads every name, hyphens as underscores.  A row marked reads_masks has a
-verdict that reads the PF or Apery mask, which root() then has the walk
-carry.  Records keep Fractions; the CLI encodes them.  Outside its domain
-a property is undefined; inside it but not applicable, it holds
-vacuously.  correspondence has one row per side and one for the trivial
-semigroup, whose partner is <2, 3>; a semigroup <2, 2g+1> is on both
-sides and is checked from each.
+A row has a domain and optional applies flags, both flags of domains(s): it
+runs on the nodes of its domain with one of the applies flags, or on all of
+them when applies is 0.  M2 and INTERVAL mark the two special families,
+<2, 2g+1> and the interval semigroups <m, ..., 2m-1>.  The verdict is
+holds(s), and record(s) gives the `check` result fields less holds, with the
+provenance string that goes beside them.  Only this module reads the domains
+and the names: `check` has one entry, check(), campaigns use resolve(),
+root(), plan() and count_failures(), and lookup() reads every name, hyphens
+as underscores.  A row marked reads_masks has a verdict that reads the PF or
+Apery mask, which root() then has the walk carry.  Records keep Fractions;
+the CLI encodes them.  Outside its domain a property is undefined; inside it
+but not applicable, it holds vacuously.  correspondence has one row per side
+and one for the trivial semigroup, whose partner is <2, 3>; a semigroup
+<2, 2g+1> is on both sides and is checked from each.
 """
 
 from __future__ import annotations
@@ -48,16 +50,23 @@ from .errors import UnknownProperty
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
 TRIVIAL, ALL, MAXGEN, SYMMETRIC = 1, 2, 4, 8
+#: Applicability flags; domains(s) sets one of each pair on a nontrivial s.
+M2, M_AT_LEAST_3, INTERVAL, F_ABOVE_M = 16, 32, 64, 128
 
 
 def domains(s: Semigroup) -> int:
-    """The domain flags of s: a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC."""
+    """The domain flags of s: a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC,
+    m = 2 is M2, F < m is INTERVAL.  As F >= m - 1 and the gap F is not the
+    member m, INTERVAL is F = m - 1, and F_ABOVE_M is its complement."""
     f = s.frobenius
     if f < 0:
         return TRIVIAL
     g2 = 2 * s.genus
+    m = s.multiplicity
     return (ALL | (MAXGEN if s.min_generators[-1] == g2 + 1 else 0)
-            | (SYMMETRIC if f + 1 == g2 else 0))
+            | (SYMMETRIC if f + 1 == g2 else 0)
+            | (M2 if m == 2 else M_AT_LEAST_3)
+            | (INTERVAL if f < m else F_ABOVE_M))
 
 
 #: For each domain but TRIVIAL, a function that raises the domain's
@@ -76,16 +85,13 @@ class Row:
     holds: Callable[[Semigroup], bool]
     record: Callable[[Semigroup], dict] | None = None
     provenance: str | None = None
-    applies: Callable[[Semigroup], bool] | None = None
+    #: the flags of which a node needs one for the row to apply; 0: all
+    applies: int = 0
     #: holds reads the PF or Apery mask, which a walk can carry (root())
     reads_masks: bool = False
 
 
-# -- verdicts and applicability ---------------------------------------------
-
-def _equality_family(s):
-    return s.multiplicity == 2 or s.frobenius == s.multiplicity - 1
-
+# -- verdicts ---------------------------------------------------------------
 
 def _wilf_equality(s):
     e = len(s.min_generators)
@@ -161,25 +167,13 @@ def _closed_gap_wilf(s):
         and t.pseudo_frobenius() == maxgen.distinguished_set_for_closed(s))
 
 
-def _multiplicity_at_least_3(s):
-    return s.multiplicity >= 3
-
-
 def _sym_generators(s):
     return s.min_generators[-1] < s.frobenius
-
-
-def _frobenius_above_multiplicity(s):
-    return s.frobenius > s.multiplicity
 
 
 def _genus_bound(s):
     bound, count_form = maxgen._genus_bound_forms(s)
     return bound and count_form
-
-
-def _embedding_dim_above_2(s):
-    return len(s.min_generators) > 2
 
 
 def _inequality_chain(s):
@@ -203,7 +197,7 @@ def count_failures(names: tuple, mg: list, sym: list) -> list:
 
 def _wilf_equality_record(s):
     margin = maxgen.wilf_report(s)["margin"]
-    return {"applicable": _equality_family(s), "margin": margin,
+    return {"applicable": bool(domains(s) & (M2 | INTERVAL)), "margin": margin,
             "margin_zero": margin == 0}
 
 
@@ -261,7 +255,7 @@ def _closed_gap_wilf_record(s):
 
 
 def _sym_generators_record(s):
-    return {"applicable": _multiplicity_at_least_3(s),
+    return {"applicable": bool(domains(s) & M_AT_LEAST_3),
             "largest_generator": s.min_generators[-1],
             "frobenius": s.frobenius}
 
@@ -269,14 +263,14 @@ def _sym_generators_record(s):
 def _genus_bound_record(s):
     return {"bound_holds": maxgen.genus_lower_bound_check(s),
             "count_form_holds": maxgen._genus_bound_forms(s)[1],
-            "asserted": _frobenius_above_multiplicity(s)}
+            "asserted": bool(domains(s) & F_ABOVE_M)}
 
 
 ROWS = (
     Row("wilf", ALL, maxgen._wilf_holds, maxgen.wilf_report,
         "numsgp.maxgen.wilf_report"),
     Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
-        "numsgp.maxgen.wilf_report", applies=_equality_family),
+        "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
         maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report",
         reads_masks=True),
@@ -298,15 +292,16 @@ ROWS = (
     Row("closed_gap_wilf", MAXGEN, _closed_gap_wilf, _closed_gap_wilf_record,
         "numsgp.maxgen.close_largest_gap"),
     Row("sym_generators", SYMMETRIC, _sym_generators, _sym_generators_record,
-        "numsgp.maxgen", applies=_multiplicity_at_least_3),
+        "numsgp.maxgen", applies=M_AT_LEAST_3),
     Row("genus_bound", ALL, _genus_bound, _genus_bound_record,
         "numsgp.maxgen.genus_lower_bound_check",
-        applies=_frobenius_above_multiplicity),
-    # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain
+        applies=F_ABOVE_M),
+    # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain.
+    # On a_e = 2g+1, e > 2 iff m >= 3: <a, b> has 2g = (a-1)(b-1), so
+    # b = 2g+1 forces a = 2
     Row("inequality_chain", MAXGEN, _inequality_chain,
         maxgen.maxgen_inequality_chain,
-        "numsgp.maxgen.maxgen_inequality_chain",
-        applies=_embedding_dim_above_2),
+        "numsgp.maxgen.maxgen_inequality_chain", applies=M_AT_LEAST_3),
 )
 
 PROPERTIES = tuple(dict.fromkeys(row.name for row in ROWS))
@@ -341,11 +336,11 @@ def root(names: tuple) -> Semigroup:
 
 
 def plan(names: tuple, key: int) -> tuple:
-    """(position in names, applies, holds) of each row of the properties
-    names whose domain meets the domain key, in registry order."""
+    """(position in names, holds) of each row of the properties names that
+    applies to the nodes with domain key, in registry order."""
     index = {name: i for i, name in enumerate(names)}
-    return tuple((index[r.name], r.applies, r.holds) for r in ROWS
-                 if r.name in index and r.domain & key)
+    return tuple((index[r.name], r.holds) for r in ROWS if r.name in index
+                 and r.domain & key and (not r.applies or r.applies & key))
 
 
 def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:
@@ -356,11 +351,12 @@ def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:
     for correspondence); the trivial-semigroup row is left to campaigns, so
     every property raises IsTrivial on <1>.  name goes through lookup()."""
     name = lookup(name)
+    key = domains(s)
     rows = [r for r in ROWS if r.name == name and r.domain != TRIVIAL]
-    rows_in = [r for r in rows if r.domain & domains(s)]
+    rows_in = [r for r in rows if r.domain & key]
     if not rows_in:
         REQUIRE[rows[-1].domain](s)
-    ok = all(r.holds(s) for r in rows_in if r.applies is None or r.applies(s))
+    ok = all(r.holds(s) for r in rows_in if not r.applies or r.applies & key)
     record = rows_in[0].record(s)
     record["holds"] = ok
     return ok, record, rows_in[0].provenance

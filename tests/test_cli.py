@@ -111,16 +111,19 @@ def test_exit_codes(capsys):
     assert run(capsys, "construct", "notiz-family", "4,5_0") == (
         2, "", "error: notiz-family takes two integers 'm,f'\n")
     # so do the integer options: argparse rejects the rest, naming the
-    # option, before any campaign runs
+    # option and the type int, before any campaign runs
     for option, argv in (
             ("--max-genus", ["--max-genus", "1_0"]),
+            ("--max-genus", ["--max-genus", "abc"]),
             ("--jobs", ["--max-genus", "3", "--jobs", "\uff12"])):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", *argv, "--format", "csv"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "numsgp verify: error: argument %s: invalid" % option in err
+        assert err.splitlines()[-1] == (
+            "numsgp verify: error: argument %s: invalid int value: %r"
+            % (option, argv[-1]))
 
 
 def test_error_message_names_precondition(capsys):
@@ -265,6 +268,30 @@ def test_json_flag_shorthand(capsys):
     code, out, _ = run(capsys, "check", "wilf", "2,3", "--json")
     assert code == 0
     assert json.loads(out)["result"]["holds"] is True
+
+
+def _format_of(out):
+    first = out.splitlines()[0]
+    if first.startswith("{"):
+        return "jsonl"
+    return "csv" if first.startswith(("field,", "genus,")) else "table"
+
+
+@pytest.mark.parametrize("argv", [("info", "3,5,7"),
+                                  ("check", "wilf", "3,5,7"),
+                                  ("construct", "close-gap", "3,5,7"),
+                                  ("verify", "--max-genus", "3")])
+def test_json_is_a_spelling_of_format_jsonl(argv, capsys):
+    # --json sets the same option as --format jsonl, so the last of the
+    # two given wins, as for any repeated option
+    cases = [((), "table" if argv[0] == "verify" else "jsonl"),
+             (("--json",), "jsonl"),
+             (("--json", "--format", "table"), "table"),
+             (("--format", "table", "--json"), "jsonl")]
+    cases += [(("--format", fmt), fmt) for fmt in ("jsonl", "table", "csv")]
+    for options, want in cases:
+        code, out, err = run(capsys, *argv, *options)
+        assert (code, err, _format_of(out)) == (0, "", want), options
 
 
 def test_verify_table_output(capsys):

@@ -67,6 +67,20 @@ def test_counts_match_the_kunz_census():
     assert list(report.maxgen_counts_by_genus[:18]) == symmetric[1:]
 
 
+def test_largest_generator_bound():
+    # the abstract's first claim: a_e <= 2g + 1 on every nontrivial
+    # semigroup; the nodes that attain it are the campaign's a_e = 2g + 1
+    # column, genus by genus
+    attained = [0] * 17
+    for s in tree.walk(16):
+        if s.is_trivial:
+            continue
+        assert s.min_generators[-1] <= 2 * s.genus + 1, s.min_generators
+        attained[s.genus] += s.min_generators[-1] == 2 * s.genus + 1
+    report = campaign.run_campaign(16, [], 1)
+    assert attained[1:] == list(report.maxgen_counts_by_genus[1:])
+
+
 def test_counts_by_genus():
     counts = [0] * 16
     total = 0
