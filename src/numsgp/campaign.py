@@ -10,10 +10,14 @@ generator list of the offending semigroup as a witness.
 One worker tallies tree.walk in this process.  More workers, min(jobs,
 CPUs, items) of them, share the tree.  The frontier rule is _items's: the
 items are the nodes of genus below G - UNIT_MARGIN, each alone, and the
-nodes of genus G - UNIT_MARGIN with their subtrees, in walk order; a bound
-of UNIT_MARGIN or less has no items and runs in this process.  Worker k of
-J walks the nodes above the units, tallies the items numbered k mod J and
-returns one tally, so only integers cross the pool.
+nodes of genus G - UNIT_MARGIN with their subtrees, in walk order, so the
+biggest subtrees tend to come first; a bound of UNIT_MARGIN or less has no
+items and runs in this process.  Every worker walks the nodes above the
+units and numbers the items as it goes.  Whenever it passes the end of its
+current block it claims the next block of BLOCK consecutive items from a
+counter the pool shares, and it tallies only the items of the blocks it
+claimed.  A worker that finishes early claims more, so none sits idle while
+another has a block left to start, and only integers cross the pool.
 
 The checks themselves are the rows of :mod:`numsgp.properties`, which
 also reads run_campaign's selection of names.  Every walk of a campaign
@@ -28,9 +32,8 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
-from multiprocessing import Pool
+from multiprocessing import Pool, Value
 
 from . import tree
 from .core import _remove_generator
@@ -39,7 +42,13 @@ from .properties import (MAXGEN, SYMMETRIC, TRIVIAL, count_failures, domains,
                          plan, resolve, root)
 
 #: The units of a shared campaign are the nodes this far above the bound.
-UNIT_MARGIN = 4
+UNIT_MARGIN = 5
+
+#: A worker of a shared campaign claims this many items at a time.
+BLOCK = 16
+
+#: The block counter of the pool this process works in, set by _init_worker.
+_claimed = None
 
 
 @dataclass(frozen=True)
@@ -137,27 +146,51 @@ def _items(max_genus: int, start=None):
         yield s, None
         if s.genus == deep - 1:
             f = s.frobenius
-            for a in reversed(s.min_generators):
+            for a in s.min_generators:
                 if a > f:
                     yield s, a
 
 
-def _share(max_genus: int, jobs: int, k: int, start=None):
-    """The nodes of worker k's share, of jobs, of the genus tree up to
-    max_genus from the root start: the items numbered k mod jobs, each unit
-    built and walked only here."""
-    for s, a in islice(_items(max_genus, start), k, None, jobs):
+def _share(max_genus: int, claim, start=None):
+    """The nodes of one share of the genus tree up to max_genus from the
+    root start: the items of the blocks it claims, each unit built and
+    walked only here.  claim() returns the number of the next block no
+    share has claimed; block b holds the items numbered b * BLOCK to
+    b * BLOCK + BLOCK - 1."""
+    first = end = 0
+    for n, (s, a) in enumerate(_items(max_genus, start)):
+        if n == end:
+            first = claim() * BLOCK
+            end = first + BLOCK
+        if n < first:
+            continue
         if a is None:
             yield s
         else:
             yield from tree.walk(max_genus, _remove_generator(s, a))
 
 
-def _worker(max_genus: int, names: tuple[str, ...], jobs: int,
-            k: int) -> tuple:
-    """The tally of share k.  Pool workers get the property names, not the
-    plan: pickling the plan's functions costs more than building it."""
-    return _tally(_share(max_genus, jobs, k, root(names)), max_genus, names)
+def _claim() -> int:
+    """The next block number of this pool's counter."""
+    with _claimed.get_lock():
+        b = _claimed.value
+        _claimed.value = b + 1
+    return b
+
+
+def _init_worker(claimed) -> None:
+    """Set up a pool worker: keep the pool's block counter, and ignore
+    Ctrl-C, as the parent's KeyboardInterrupt ends the pool."""
+    global _claimed
+    _claimed = claimed
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker(max_genus: int, names: tuple[str, ...]) -> tuple:
+    """The tally of one pool worker's share.  Pool workers get the property
+    names, not the plan: pickling the plan's functions costs more than
+    building it."""
+    return _tally(_share(max_genus, _claim, root(names)), max_genus, names)
 
 
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
@@ -183,11 +216,8 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     if workers <= 1:
         parts = [_tally(tree.walk(max_genus, start), max_genus, names)]
     else:
-        # workers ignore Ctrl-C; the parent's KeyboardInterrupt ends the pool
-        with Pool(workers, signal.signal,
-                  (signal.SIGINT, signal.SIG_IGN)) as pool:
-            parts = pool.map(partial(_worker, max_genus, names, workers),
-                             range(workers))
+        with Pool(workers, _init_worker, (Value("q", 0),)) as pool:
+            parts = pool.starmap(_worker, [(max_genus, names)] * workers)
     columns = list(zip(*parts))
     counts, mg, sym, checked = ([sum(c) for c in zip(*column)]
                                 for column in columns[:4])

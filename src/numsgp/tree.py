@@ -21,8 +21,12 @@ def walk(max_genus: int, start: Semigroup | None = None) -> Iterator[Semigroup]:
     """Depth-first generator over all semigroups of genus <= max_genus.
 
     With a start semigroup, walks only that subtree (start included).  The
-    visit order is deterministic; memory use is bounded by the tree depth
-    times the branching factor.
+    visit order is deterministic: each node comes before its subtree, and
+    the subtrees of its children come in ascending order of the removed
+    generator.  The child that removes the smallest removable generator
+    comes first; it keeps every other one removable, so its subtree is
+    usually the biggest.  Memory use is bounded by the tree depth times the
+    branching factor.
     """
     if max_genus < 0:
         return
@@ -34,6 +38,7 @@ def walk(max_genus: int, start: Semigroup | None = None) -> Iterator[Semigroup]:
         yield s
         if s.genus < max_genus:
             f = s.frobenius
-            for a in s.min_generators:
-                if a > f:
-                    push(_remove_generator(s, a))
+            for a in reversed(s.min_generators):
+                if a <= f:
+                    break
+                push(_remove_generator(s, a))

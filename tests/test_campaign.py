@@ -2,7 +2,9 @@
 
 import json
 import multiprocessing
+import random
 from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -153,20 +155,20 @@ def test_parallel_serial_byte_identical():
 
 
 def test_parallel_small_bounds(monkeypatch):
-    # genus 3 runs in this process; genus 5 is the smallest bound that
+    # genus 5 runs in this process; genus 6 is the smallest bound that
     # starts a pool: the root and the one unit <2, 3>
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
-    rep = campaign.run_campaign(3, "all", jobs=2)
-    assert rep.counts_by_genus == (1, 1, 2, 4)
-    assert rep.passed
     rep = campaign.run_campaign(5, "all", jobs=2)
     assert rep.counts_by_genus == (1, 1, 2, 4, 7, 12)
+    assert rep.passed
+    rep = campaign.run_campaign(6, "all", jobs=2)
+    assert rep.counts_by_genus == (1, 1, 2, 4, 7, 12, 23)
     assert rep.passed
 
 
 def _item_count(max_genus):
     """The number of items of a shared campaign: the nodes of genus
-    <= G - 4."""
+    <= G - 5."""
     return sum(1 for _ in tree.walk(max_genus - campaign.UNIT_MARGIN))
 
 
@@ -174,10 +176,13 @@ def test_pool_no_larger_than_work(monkeypatch):
     sizes = []
 
     class FakePool:
-        """Records its size and runs the work units in this process."""
+        """Records its size and runs its workers one after another in this
+        process, on the block counter it was handed."""
 
         def __init__(self, n, initializer, initargs):
+            assert initializer is campaign._init_worker
             sizes.append(n)
+            monkeypatch.setattr(campaign, "_claimed", *initargs)
 
         def __enter__(self):
             return self
@@ -185,15 +190,15 @@ def test_pool_no_larger_than_work(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
+        def starmap(self, fn, items, chunksize=1):
+            return [fn(*x) for x in items]
 
     monkeypatch.setattr(campaign, "Pool", FakePool)
-    assert [_item_count(g) for g in (5, 6, 7, 8)] == [2, 4, 8, 15]
+    assert [_item_count(g) for g in (6, 7, 8, 9)] == [2, 4, 8, 15]
     for cpus, max_genus, jobs, want in (
-            (8, 0, 8, []), (8, 4, 64, []), (8, 5, 64, [2]), (8, 6, 64, [4]),
-            (8, 7, 64, [8]), (8, 8, 64, [8]), (8, 11, 3, [3]),
-            (3, 11, 64, [3]), (1, 11, 64, []), (None, 11, 64, [])):
+            (8, 0, 8, []), (8, 5, 64, []), (8, 6, 64, [2]), (8, 7, 64, [4]),
+            (8, 8, 64, [8]), (8, 9, 64, [8]), (8, 12, 3, [3]),
+            (3, 12, 64, [3]), (1, 12, 64, []), (None, 12, 64, [])):
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
         sizes.clear()
         rep = campaign.run_campaign(max_genus, "all", jobs)
@@ -214,11 +219,31 @@ def _frontier(max_genus):
     return above, units
 
 
+def claimed_shares(max_genus, jobs, seed, start=None):
+    """The nodes of jobs shares of the tree up to max_genus that claim
+    their blocks from one counter, as pool workers do, each list in its
+    share's order.  The shares take turns one node at a time in an order
+    drawn from random.Random(seed)."""
+    claim = count().__next__
+    shares = [campaign._share(max_genus, claim, start) for _ in range(jobs)]
+    nodes = [[] for _ in shares]
+    rng = random.Random(seed)
+    live = list(range(jobs))
+    while live:
+        k = rng.choice(live)
+        try:
+            nodes[k].append(next(shares[k]))
+        except StopIteration:
+            live.remove(k)
+    return nodes
+
+
 def test_shares_partition_the_tree():
-    # every node lands in exactly one share, and the frontier depends on
-    # the genus bound alone: the units are the nodes of genus G - 4 and the
-    # items above them the nodes of lower genus, each listed once
-    for max_genus in range(5, 17):
+    # every node lands in exactly one share however the shares interleave
+    # their claims, with carried masks or without; and the frontier depends
+    # on the genus bound alone: the units are the nodes of genus G - 5 and
+    # the items above them the nodes of lower genus, each listed once
+    for max_genus in range(6, 17):
         whole = Counter(s.min_generators for s in tree.walk(max_genus))
         deep = max_genus - campaign.UNIT_MARGIN
         above, units = _frontier(max_genus)
@@ -227,22 +252,28 @@ def test_shares_partition_the_tree():
         assert Counter(units) == Counter(s.min_generators for s in
                                          tree.walk(deep)
                                          if s.genus == deep), max_genus
-        for jobs in (1, 2, 3, 5):
-            nodes = Counter(s.min_generators for k in range(jobs)
-                            for s in campaign._share(max_genus, jobs, k))
-            assert nodes == whole, (max_genus, jobs)
+        for masks in (False, True):
+            for jobs in (1, 2, 3, 5):
+                seed = max_genus * 100 + jobs * 10 + masks
+                shares = claimed_shares(max_genus, jobs, seed,
+                                         core._naturals(masks))
+                nodes = Counter(s.min_generators for share in shares
+                                for s in share)
+                assert nodes == whole, (max_genus, masks, jobs)
 
 
 def test_no_items_up_to_the_margin():
-    # a bound of 4 or less runs in this process: there is nothing to deal
+    # a bound of UNIT_MARGIN or less runs in this process: there is
+    # nothing to share
     for max_genus in range(campaign.UNIT_MARGIN + 1):
         assert list(campaign._items(max_genus)) == []
 
 
 def test_each_unit_is_built_once(monkeypatch):
     # every share builds the expanded nodes, but a unit and its subtree
-    # only in the share that tallies it: J (E - 1) + (T - E) child steps in
-    # all, for E nodes of genus below G - 4 and T in the tree
+    # only in the share that claimed it: J (E - 1) + (T - E) child steps in
+    # all, for E nodes of genus below G - 5 and T in the tree, however the
+    # shares interleave their claims
     calls = Counter()
     step = campaign._remove_generator
 
@@ -258,12 +289,13 @@ def test_each_unit_is_built_once(monkeypatch):
         expanded = sum(n for g, n in genera.items()
                        if g < max_genus - campaign.UNIT_MARGIN)
         for jobs in (2, 3):
-            calls.clear()
-            for k in range(jobs):
-                for _ in campaign._share(max_genus, jobs, k):
-                    pass
-            assert calls["step"] == (jobs * (expanded - 1)
-                                     + whole - expanded), (max_genus, jobs)
+            for seed in range(3):
+                calls.clear()
+                shares = claimed_shares(max_genus, jobs, seed)
+                assert sum(map(len, shares)) == whole
+                assert calls["step"] == (jobs * (expanded - 1)
+                                         + whole - expanded), (max_genus,
+                                                               jobs, seed)
 
 
 def test_unseen_domain_key_is_planned(monkeypatch):
@@ -301,16 +333,16 @@ def test_broken_count_identity_filed_under_correspondence(monkeypatch):
 
 
 def test_frontier_deepens_with_the_bound():
-    # units (the nodes of genus G - 4) and above-frontier nodes at three
+    # units (the nodes of genus G - 5) and above-frontier nodes at three
     # genus bounds
-    for max_genus, units, above in ((16, 592, 821), (19, 2857, 4107),
-                                    (21, 8045, 11770)):
+    for max_genus, units, above in ((16, 343, 478), (19, 1693, 2414),
+                                    (21, 4806, 6964)):
         items = Counter(a is None for _, a in campaign._items(max_genus))
         assert (items[False], items[True]) == (units, above), max_genus
 
 
 def test_refined_frontier_byte_identical(monkeypatch):
-    # the genus-16 frontier: 592 units at genus 12 under 821 nodes
+    # the genus-16 frontier: 343 units at genus 11 under 478 nodes
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
     reports = {campaign.run_campaign(16, "all", jobs).to_json(
         include_wall_time=False) for jobs in (1, 2, 3)}
@@ -326,9 +358,10 @@ def test_refined_frontier_failures_merge(monkeypatch):
     for row in properties.ROWS:
         if row.name == "type":
             monkeypatch.setattr(row, "holds", lambda s: False)
-    for k in range(3):
+    # three shares that take turns claiming each find failing nodes
+    for share in claimed_shares(16, 3, 0):
         assert any(s.min_generators[-1] == 2 * s.genus + 1
-                   for s in campaign._share(16, 3, k) if not s.is_trivial)
+                   for s in share if not s.is_trivial)
     one = campaign.run_campaign(16, ["type"], 1)
     three = campaign.run_campaign(16, ["type"], 3)
     assert len(one.property_failures) == dict(one.checked)["type"]
@@ -336,9 +369,9 @@ def test_refined_frontier_failures_merge(monkeypatch):
 
 
 def test_pool_capped_by_the_cpus(monkeypatch):
-    # any jobs asks for at most min(jobs, CPUs, nodes of genus <= G - 4),
+    # any jobs asks for at most min(jobs, CPUs, nodes of genus <= G - 5),
     # counted without building more nodes than that or any unit, and
-    # G <= 4 starts no pool
+    # G <= 5 starts no pool
     sizes = []
     built = Counter()
 
@@ -373,10 +406,10 @@ def test_pool_capped_by_the_cpus(monkeypatch):
     monkeypatch.setattr(campaign, "_remove_generator", recorded)
     for cpus in (2, 6):
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
-        for max_genus in (2, 4):
+        for max_genus in (2, 5):
             for jobs in (3, 10_000):
                 assert campaign.run_campaign(max_genus, ["wilf"], jobs).passed
-        for max_genus in (5, 6, 11, 12, 16, 19, 21):
+        for max_genus in (6, 7, 12, 13, 16, 19, 21):
             items = _item_count(max_genus)
             deep = max_genus - campaign.UNIT_MARGIN
             for jobs in (3, 10_000):
@@ -515,8 +548,9 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
         assert campaign.run_campaign(8, names, jobs=1).passed
         assert carried.keys() == {(has, has)}, names
         carried.clear()
-        for k in range(2):
-            campaign._worker(8, names, 2, k)
+        monkeypatch.setattr(campaign, "_claim", count().__next__)
+        for _ in range(2):
+            campaign._worker(8, names)
         assert carried.keys() == {(has, has)}, names
 
 

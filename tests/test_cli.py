@@ -822,3 +822,17 @@ def test_import_builds_no_parser():
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_import_loads_no_pool_machinery():
+    # a shared campaign's pool and block counter load ctypes and the pool
+    # modules, a few ms each process; importing the CLI loads none of them
+    script = ("import sys, numsgp.cli\n"
+              "print(*sorted({'ctypes', 'multiprocessing.pool',\n"
+              "               'multiprocessing.sharedctypes'} & set(sys.modules)))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.split() == []

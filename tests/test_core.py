@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
-from numsgp import campaign, maxgen, tree
+from numsgp import maxgen, tree
 from numsgp.core import (
     Semigroup,
     _add_frobenius,
@@ -35,6 +35,7 @@ from numsgp.errors import (
     IsTrivial,
     NonCoprime,
 )
+from test_campaign import claimed_shares
 
 
 # (generators, min_generators, F, genus, multiplicity, gaps, apery, pf, sporadic)
@@ -349,7 +350,7 @@ def _assert_carried_masks(s):
 def test_carried_masks_match_recomputed_ones():
     # the child step's PF and Apery recurrences on every nontrivial node of
     # a walk with masks to genus 16, as the campaign walks it in one
-    # process and dealt to 2 or 3 pool workers
+    # process and shared by 2 or 3 pool workers claiming blocks in turn
     def check(nodes):
         count = 0
         for s in nodes:
@@ -360,8 +361,9 @@ def test_carried_masks_match_recomputed_ones():
 
     check(tree.walk(16, _naturals(masks=True)))
     for jobs in (2, 3):
-        check(s for k in range(jobs)
-              for s in campaign._share(16, jobs, k, _naturals(masks=True)))
+        check(s for share in claimed_shares(16, jobs, jobs,
+                                             _naturals(masks=True))
+              for s in share)
     # the ordinary step a = m, from the root, <2, 3>, ..., to m = 64
     s = _naturals(masks=True)
     for m in range(1, 65):

@@ -50,9 +50,20 @@ def test_children_genus_and_removables():
     assert len(kids) == 3
     for child in kids:
         assert child.genus == s.genus + 1
-    # the walk visits the same children, last pushed first
+    # the walk visits the same children, the smallest removed generator,
+    # whose child keeps the other two removable, first
     walked = [x for x in tree.walk(s.genus + 1, s) if x.genus == s.genus + 1]
-    assert walked == kids[::-1]
+    assert walked == kids
+
+    # the whole walk is the preorder that visits children in that order
+    def preorder(s, max_genus):
+        yield s
+        if s.genus < max_genus:
+            for child in children(s):
+                yield from preorder(child, max_genus)
+
+    assert ([x.min_generators for x in tree.walk(9)]
+            == [x.min_generators for x in preorder(r, 9)])
 
 
 def test_counts_match_the_kunz_census():
