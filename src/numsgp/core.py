@@ -17,20 +17,26 @@ shifted, instead of mirroring the gap mask again.
 
 A node of a walk from a root that carries them (_naturals(masks=True))
 also stores two masks, which the child step hands down in a few big-int
-operations: the PF mask (bit p set iff p is in PF(S)) and the Apery mask
-(bit n set iff n is in Ap(S, m)).  _pf_mask() and _apery_mask() return a
-stored mask and otherwise compute one from the member mask; no query
-stores one.  For the child T = S minus {a}, a > F, whose mirror has bit
-a - n set iff n is a gap of T:
+operations: the mirrored PF mask (bit F - p set iff p is in PF(S), the
+offsets of the canonical ideal K = {z : F - z not in S}, in the coordinate
+of the mirror) and the Apery mask (bit n set iff n is in Ap(S, m)).
+_mirrored_pf_mask(), _pf_mask() and _apery_mask() read a stored mask and
+otherwise compute one from the member mask; no query stores one.  For the
+child T = S minus {a}, a > F, with conductor c' = a + 1 and member mask
+mask_T:
 
-- PF(T) = {a} union {p in PF(S) : a - p not in S}, the mask
-  (pf_S & mirror_T) | 1 << a.  Proof: a is a gap of T, and a + u > F(T)
-  for every positive u, so a is in PF(T).  Any other gap p of T is a gap
-  of S below a.  If p is in PF(T), then p is in PF(S), as p + u is in
-  T, a subset of S, for positive u in T, and p + a > F(S); and a - p,
-  positive and not a, is not in T, so not in S.  Conversely, if p is in
-  PF(S) and a - p is not in S, then for positive u in T, p + u is in S
-  and is not a, so it is in T.
+- PF(T) = {a} union {p in PF(S) : a - p not in S}, the mirrored mask
+  ((pf_S << (c' - c)) & ~mask_T) | 1 from the mirrored mask pf_S of S,
+  shifted as the mirror is.  Proof: a is a gap of T, and a + u > F(T)
+  for every positive u, so a is in PF(T); it lands on bit F(T) - a = 0.
+  Any other gap p of T is a gap of S below a.  If p is in PF(T), then p
+  is in PF(S), as p + u is in T, a subset of S, for positive u in T, and
+  p + a > F(S); and a - p, positive and not a, is not in T, so not in S.
+  Conversely, if p is in PF(S) and a - p is not in S, then for positive
+  u in T, p + u is in S and is not a, so it is in T.  The shift moves
+  bit F(S) - p of pf_S to bit a - p = F(T) - p, and a - p, positive and
+  below a, is a gap of T iff it is a gap of S, which is bit a - p of
+  ~mask_T.  The root's mask is 0; its child <2, 3> gets bit 0, PF = {1}.
 - Ap(T, m) = Ap(S, m) minus {a}, plus a + m, for a != m, the mask
   ap_S ^ (1 << a | 1 << a + m).  Proof: m stays the multiplicity.  The
   minimal generator a != m lies in Ap(S, m), so no a - km, k >= 1, is in
@@ -176,18 +182,29 @@ def _apery_mask(s: Semigroup) -> int:
     return ext & ~(ext << s.multiplicity)
 
 
+def _mirrored_pf_mask(s: Semigroup) -> int:
+    """Bit F - p set iff p is a pseudo-Frobenius number of the nontrivial
+    S: the minimal offsets of the canonical ideal, as the PF set says they
+    are.  A tree node that carries the mask returns it."""
+    pf = s._mirrored_pf_bits
+    if pf is not None:
+        return pf
+    return _reverse(_pf_mask(s), s.conductor)
+
+
 def _pf_mask(s: Semigroup) -> int:
     """Bit p set iff p is a pseudo-Frobenius number of the nontrivial S.
 
     It suffices to test p + a in S over the minimal generators a, all at
     once: the gap mask AND the member mask (extended past c) shifted down by
-    a, for each a.  A tree node that carries the mask returns it.
+    a, for each a.  A tree node that carries the mirrored mask returns it
+    reversed.
     """
-    pf = s._pf_bits
-    if pf is not None:
-        return pf
-    gens = s.min_generators
     c = s.conductor
+    pf = s._mirrored_pf_bits
+    if pf is not None:
+        return _reverse(pf, c)
+    gens = s.min_generators
     mask = s.members_mask
     ext = _extended_mask(mask, c, gens[-1])
     pf = ((1 << c) - 1) ^ mask
@@ -203,10 +220,10 @@ class Semigroup:
     through the minimal generating set, which is unique.  Beside the four
     inputs and the genus, frobenius and multiplicity derived from them (see
     the module docstring) it keeps _from_apery()'s Apery table (None after a
-    tree step) and, on a node of a walk with masks, the PF and Apery masks
-    that the child step hands down (None elsewhere); these slots are
-    written only when the value is built.  Every other invariant is
-    computed per call.
+    tree step) and, on a node of a walk with masks, the mirrored PF mask
+    (bit F - p for p in PF(S), not bit p) and the Apery mask that the
+    child step hands down (None elsewhere); these slots are written only
+    when the value is built.  Every other invariant is computed per call.
     """
 
     __slots__ = (
@@ -218,7 +235,7 @@ class Semigroup:
         "multiplicity",
         "mirror",
         "_apery",
-        "_pf_bits",
+        "_mirrored_pf_bits",
         "_apery_bits",
     )
 
@@ -231,7 +248,7 @@ class Semigroup:
         self.frobenius = conductor - 1
         self.multiplicity = min_generators[0]
         self._apery = None
-        self._pf_bits = None
+        self._mirrored_pf_bits = None
         self._apery_bits = None
 
     def __repr__(self) -> str:
@@ -299,7 +316,8 @@ class Semigroup:
         """Number of pseudo-Frobenius numbers."""
         if self.is_trivial:
             raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
-        return _pf_mask(self).bit_count()
+        pf = self._mirrored_pf_bits
+        return (_pf_mask(self) if pf is None else pf).bit_count()
 
     def is_symmetric(self) -> bool:
         """True iff F + 1 = 2g, i.e. n in S <=> F - n not in S."""
@@ -310,11 +328,11 @@ class Semigroup:
 
 def _naturals(masks: bool = False) -> Semigroup:
     """The semigroup of all nonnegative integers, the root of the genus
-    tree; with masks, it carries its PF mask (empty) and its Apery mask
-    ({0}), and so does every node of a walk from it."""
+    tree; with masks, it carries its mirrored PF mask (empty) and its Apery
+    mask ({0}), and so does every node of a walk from it."""
     s = Semigroup((1,), 0, 0, 0)
     if masks:
-        s._pf_bits = 0
+        s._mirrored_pf_bits = 0
         s._apery_bits = 1
     return s
 
@@ -476,8 +494,8 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     the child for every positive member u below t: the child's mirror
     shifted by t - a = m has bit t - n set iff n is a gap.
 
-    A parent that carries the PF and Apery masks hands both down, by the
-    recurrences in the module docstring.
+    A parent that carries the mirrored PF and Apery masks hands both down,
+    by the recurrences in the module docstring.
     """
     c = s.conductor
     mask = s.members_mask | ((1 << a) - (1 << c))
@@ -493,9 +511,11 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
         if not (mask | ((1 << t) - (2 << a))) & ~1 & ~(mirror << m):
             gens += (t,)
         child = Semigroup(gens, a + 1, mask, mirror)
-    pf = s._pf_bits
+    pf = s._mirrored_pf_bits
     if pf is not None:
-        child._pf_bits = (pf & mirror) | (1 << a)
+        # (pf & ~mask) without the negative ~mask, which costs more
+        pf <<= a + 1 - c
+        child._mirrored_pf_bits = (pf ^ (pf & mask)) | 1
         child._apery_bits = (1 | (((1 << m) - 1) << (m + 2)) if a == m
                              else s._apery_bits ^ ((1 << a) | (1 << (a + m))))
     return child

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import core, maxgen
-from .core import Semigroup, _extended_mask, _pf_mask, _reverse
+from .core import Semigroup, _extended_mask, _mirrored_pf_mask, _reverse
 from .errors import UnknownProperty
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
@@ -111,7 +111,7 @@ def _type(s):
 def _canonical_gens(s):
     gens = s.min_generators
     offs = maxgen._canonical_offsets(s)
-    if offs != _reverse(_pf_mask(s), s.conductor):
+    if offs != _mirrored_pf_mask(s):
         return False
     if gens[-1] != 2 * s.genus + 1:
         return True

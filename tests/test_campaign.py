@@ -498,16 +498,16 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
 @pytest.mark.parametrize("prop", ["canonical_gens", "apery_reflected_gaps"])
 def test_broken_carried_mask_is_caught(prop, monkeypatch):
     # a child step that hands down a wrong PF mask (0 marked
-    # pseudo-Frobenius) or a wrong Apery mask (c + m marked, above every
-    # Apery element): the row reads the carried mask, and its independent
-    # side, the mirror-read canonical offsets or RG(F) + m, catches it in
-    # this process and in pool workers alike
+    # pseudo-Frobenius, bit F of the mirrored mask) or a wrong Apery mask
+    # (c + m marked, above every Apery element): the row reads the carried
+    # mask, and its independent side, the mirror-read canonical offsets or
+    # RG(F) + m, catches it in this process and in pool workers alike
     real = core._remove_generator
 
     def corrupted(s, a):
         t = real(s, a)
         if prop == "canonical_gens":
-            t._pf_bits |= 1
+            t._mirrored_pf_bits |= 1 << t.frobenius
         else:
             t._apery_bits |= 1 << (t.conductor + t.multiplicity)
         return t
@@ -534,7 +534,8 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
 
     def recorded(s, a):
         t = real(s, a)
-        carried[t._pf_bits is not None, t._apery_bits is not None] += 1
+        carried[t._mirrored_pf_bits is not None,
+                t._apery_bits is not None] += 1
         return t
 
     monkeypatch.setattr(tree, "_remove_generator", recorded)
@@ -574,18 +575,28 @@ def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
         (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204)
 
 
-def test_broken_reverse_is_caught(monkeypatch):
-    # the canonical_gens and reflection_bijection verdicts read _reverse
-    # from the registry module
-    real = properties._reverse
-    monkeypatch.setattr(properties, "_reverse",
-                        lambda v, n: real(v, n + 1))
+def test_broken_reverse_is_caught(monkeypatch, capsys):
+    # reflection_bijection reads _reverse from the registry module;
+    # pf_formula reads the carried mirrored PF mask reversed by core, and
+    # `check canonical_gens`, on a semigroup that carries no mask, the PF
+    # mask mirrored by core.  The complemented reversal that builds a
+    # from_generators mirror is left intact, so `check` fails on the PF side
+    real = core._reverse
+
+    def off_by_one(v, n, complement=False):
+        return real(v, n, True) if complement else real(v, n + 1)
+
+    monkeypatch.setattr(properties, "_reverse", off_by_one)
+    monkeypatch.setattr(core, "_reverse", off_by_one)
     rep = campaign.run_campaign(
-        10, ["canonical_gens", "reflection_bijection"], jobs=1)
+        10, ["pf_formula", "reflection_bijection"], jobs=1)
     assert not rep.passed
-    for name in ("canonical_gens", "reflection_bijection"):
+    for name in ("pf_formula", "reflection_bijection"):
         witnesses = _failed(rep, name)
         assert witnesses and all(len(w) >= 2 for w in witnesses)
+    assert cli.main(["check", "canonical_gens",
+                     CHECK_FIXTURES["canonical_gens"]]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
 
 
 def test_subset_failures_filed_by_name(monkeypatch):

@@ -22,6 +22,7 @@ from numsgp.core import (
     _apery_mask,
     _apery_round_robin,
     _mask_from_apery,
+    _mirrored_pf_mask,
     _naturals,
     _pf_mask,
     _remove_generator,
@@ -339,11 +340,13 @@ def test_tree_generators_ascend_to_at_most_f_plus_m():
 
 def _assert_carried_masks(s):
     # the masks a node carries equal those of a Semigroup rebuilt from its
-    # four inputs, which computes them from the member mask
+    # four inputs, which computes them from the member mask; the PF mask
+    # travels mirrored, as the canonical ideal's offsets
     rebuilt = Semigroup(s.min_generators, s.conductor, s.members_mask,
                         s.mirror)
-    assert rebuilt._pf_bits is None and rebuilt._apery_bits is None
-    assert s._pf_bits == _pf_mask(rebuilt), s
+    assert rebuilt._mirrored_pf_bits is None and rebuilt._apery_bits is None
+    assert s._mirrored_pf_bits == _mirrored_pf_mask(rebuilt), s
+    assert _pf_mask(s) == _pf_mask(rebuilt), s
     assert s._apery_bits == _apery_mask(rebuilt), s
 
 
@@ -370,6 +373,29 @@ def test_carried_masks_match_recomputed_ones():
         s = _remove_generator(s, m)
         assert s.min_generators == tuple(range(m + 1, 2 * m + 2))
         _assert_carried_masks(s)
+
+
+def test_carried_pf_mask_matches_subset_oracle():
+    # the mirrored PF mask the child step hands down, on every nontrivial
+    # node to genus 12: its bits are the canonical ideal's minimal offsets
+    # and {F - p : p in PF} by the naive oracle, and the PF set and type
+    # read through it equal those of from_generators, which carries none
+    nodes = 0
+    for s in tree.walk(12, _naturals(masks=True)):
+        if s.is_trivial:
+            continue
+        gens = list(s.min_generators)
+        pf = s._mirrored_pf_bits
+        bits = [i for i in range(pf.bit_length()) if (pf >> i) & 1]
+        inv = oracle.invariants(gens)
+        assert bits == oracle.canonical_offsets(gens), gens
+        assert bits == sorted(inv["frobenius"] - p for p in inv["pf"])
+        built = from_generators(gens)
+        assert built._mirrored_pf_bits is None
+        assert s.pseudo_frobenius() == built.pseudo_frobenius(), gens
+        assert s.type_number() == built.type_number(), gens
+        nodes += 1
+    assert nodes == 1412
 
 
 def test_tree_step_edges():
