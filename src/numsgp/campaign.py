@@ -21,8 +21,8 @@ another has a block left to start, and only integers cross the pool.
 
 The checks themselves are the rows of :mod:`numsgp.properties`, which
 also reads run_campaign's selection of names.  Every walk of a campaign
-starts from properties.root(names), which carries the PF and Apery masks
-down the tree only for a selection with a row that reads them.
+starts from properties.root(names), which carries the mirrored PF mask
+down the tree only for a selection with a row that reads it.
 """
 
 from __future__ import annotations

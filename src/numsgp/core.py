@@ -15,36 +15,27 @@ The reflections the checks test (RG(n, S), the canonical ideal
 K = {z : F - z not in S}, a child generator's minimality) read the mirror
 shifted, instead of mirroring the gap mask again.
 
-A node of a walk from a root that carries them (_naturals(masks=True))
-also stores two masks, which the child step hands down in a few big-int
-operations: the mirrored PF mask (bit F - p set iff p is in PF(S), the
-offsets of the canonical ideal K = {z : F - z not in S}, in the coordinate
-of the mirror) and the Apery mask (bit n set iff n is in Ap(S, m)).
-_mirrored_pf_mask(), _pf_mask() and _apery_mask() read a stored mask and
-otherwise compute one from the member mask; no query stores one.  For the
-child T = S minus {a}, a > F, with conductor c' = a + 1 and member mask
-mask_T:
-
-- PF(T) = {a} union {p in PF(S) : a - p not in S}, the mirrored mask
-  ((pf_S << (c' - c)) & ~mask_T) | 1 from the mirrored mask pf_S of S,
-  shifted as the mirror is.  Proof: a is a gap of T, and a + u > F(T)
-  for every positive u, so a is in PF(T); it lands on bit F(T) - a = 0.
-  Any other gap p of T is a gap of S below a.  If p is in PF(T), then p
-  is in PF(S), as p + u is in T, a subset of S, for positive u in T, and
-  p + a > F(S); and a - p, positive and not a, is not in T, so not in S.
-  Conversely, if p is in PF(S) and a - p is not in S, then for positive
-  u in T, p + u is in S and is not a, so it is in T.  The shift moves
-  bit F(S) - p of pf_S to bit a - p = F(T) - p, and a - p, positive and
-  below a, is a gap of T iff it is a gap of S, which is bit a - p of
-  ~mask_T.  The root's mask is 0; its child <2, 3> gets bit 0, PF = {1}.
-- Ap(T, m) = Ap(S, m) minus {a}, plus a + m, for a != m, the mask
-  ap_S ^ (1 << a | 1 << a + m).  Proof: m stays the multiplicity.  The
-  minimal generator a != m lies in Ap(S, m), so no a - km, k >= 1, is in
-  S; as a is not in T and a + m > F(T), a + m is the least member of its
-  class in T.  Any other w in Ap(S, m) is in T, and w - m, not in S, is
-  not in T either.
-- For a = m, T = {0} union [m + 1, oo) and Ap(T, m + 1) = {0} union
-  [m + 2, 2m + 1].
+A node of a walk from a root that carries it (_naturals(masks=True))
+also stores one mask, which the child step hands down in a few big-int
+operations: the mirrored PF mask, bit F - p set iff p is in PF(S).  These
+are the offsets of the canonical ideal K = {z : F - z not in S}, in the
+coordinate of the mirror, so canonical_gens compares the two with no
+reversal.  _mirrored_pf_mask() reads the stored mask and otherwise
+computes one from the member mask; no query stores one, and every other
+mask (the PF mask, the Apery mask) is computed from the member mask per
+call.  For the child T = S minus {a}, a > F, with conductor c' = a + 1
+and member mask mask_T, PF(T) = {a} union {p in PF(S) : a - p not in S},
+the mirrored mask ((pf_S << (c' - c)) & ~mask_T) | 1 from the mirrored
+mask pf_S of S, shifted as the mirror is.  Proof: a is a gap of T, and
+a + u > F(T) for every positive u, so a is in PF(T); it lands on bit
+F(T) - a = 0.  Any other gap p of T is a gap of S below a.  If p is in
+PF(T), then p is in PF(S), as p + u is in T, a subset of S, for positive
+u in T, and p + a > F(S); and a - p, positive and not a, is not in T, so
+not in S.  Conversely, if p is in PF(S) and a - p is not in S, then for
+positive u in T, p + u is in S and is not a, so it is in T.  The shift
+moves bit F(S) - p of pf_S to bit a - p = F(T) - p, and a - p, positive
+and below a, is a gap of T iff it is a gap of S, which is bit a - p of
+~mask_T.  The root's mask is 0; its child <2, 3> gets bit 0, PF = {1}.
 
 from_generators() is Apery-first: it tests lower bounds on c against the
 conductor cap, then computes the Apery set with respect to a_1 by
@@ -70,7 +61,10 @@ Hivert, Math. Comp. 2016):
 Each step carries the mirror with one shift.  The child's new gap a = c' - 1
 lands on bit 0 and every old gap moves up by c' - c.  The parent's gaps sit
 c - c' too high, and as c' <= F the shift down drops bit 0, the gap F that
-the parent lost.
+the parent lost.  Neither step, nor any check a campaign runs on a node,
+mirrors a mask bit by bit: _reverse() builds the mirror of a
+from_generators() result, and the PF side of `check canonical_gens` on a
+semigroup that carries no mask.
 """
 
 from __future__ import annotations
@@ -172,14 +166,13 @@ def _reverse(v: int, n: int, complement: bool = False) -> int:
 def _apery_mask(s: Semigroup) -> int:
     """Bit n set iff n is in the Apery set of S with respect to m.
 
-    These are the members n with n - m not in S; all of them lie below
-    c + m.  A tree node that carries the mask returns it.
+    These are 0 and the members n with n - m a gap, all below c + m.  The
+    gap mask shifted up by m sets bit n iff n - m is a gap, and each such
+    n exceeds m, so it is a member iff it is not a gap.
     """
-    ap = s._apery_bits
-    if ap is not None:
-        return ap
-    ext = _extended_mask(s.members_mask, s.conductor, s.multiplicity)
-    return ext & ~(ext << s.multiplicity)
+    gaps = ((1 << s.conductor) - 1) ^ s.members_mask
+    ap = gaps << s.multiplicity
+    return (ap ^ (ap & gaps)) | 1
 
 
 def _mirrored_pf_mask(s: Semigroup) -> int:
@@ -197,13 +190,9 @@ def _pf_mask(s: Semigroup) -> int:
 
     It suffices to test p + a in S over the minimal generators a, all at
     once: the gap mask AND the member mask (extended past c) shifted down by
-    a, for each a.  A tree node that carries the mirrored mask returns it
-    reversed.
+    a, for each a.  It reads no carried mask.
     """
     c = s.conductor
-    pf = s._mirrored_pf_bits
-    if pf is not None:
-        return _reverse(pf, c)
     gens = s.min_generators
     mask = s.members_mask
     ext = _extended_mask(mask, c, gens[-1])
@@ -221,9 +210,9 @@ class Semigroup:
     inputs and the genus, frobenius and multiplicity derived from them (see
     the module docstring) it keeps _from_apery()'s Apery table (None after a
     tree step) and, on a node of a walk with masks, the mirrored PF mask
-    (bit F - p for p in PF(S), not bit p) and the Apery mask that the
-    child step hands down (None elsewhere); these slots are written only
-    when the value is built.  Every other invariant is computed per call.
+    (bit F - p for p in PF(S), not bit p) that the child step hands down
+    (None elsewhere); these slots are written only when the value is
+    built.  Every other invariant is computed per call.
     """
 
     __slots__ = (
@@ -236,7 +225,6 @@ class Semigroup:
         "mirror",
         "_apery",
         "_mirrored_pf_bits",
-        "_apery_bits",
     )
 
     def __init__(self, min_generators, conductor, members_mask, mirror):
@@ -249,7 +237,6 @@ class Semigroup:
         self.multiplicity = min_generators[0]
         self._apery = None
         self._mirrored_pf_bits = None
-        self._apery_bits = None
 
     def __repr__(self) -> str:
         return "Semigroup<%s>" % ", ".join(map(str, self.min_generators))
@@ -316,8 +303,7 @@ class Semigroup:
         """Number of pseudo-Frobenius numbers."""
         if self.is_trivial:
             raise IsTrivial("pseudo-Frobenius numbers need a nonempty gap set")
-        pf = self._mirrored_pf_bits
-        return (_pf_mask(self) if pf is None else pf).bit_count()
+        return _pf_mask(self).bit_count()
 
     def is_symmetric(self) -> bool:
         """True iff F + 1 = 2g, i.e. n in S <=> F - n not in S."""
@@ -328,12 +314,11 @@ class Semigroup:
 
 def _naturals(masks: bool = False) -> Semigroup:
     """The semigroup of all nonnegative integers, the root of the genus
-    tree; with masks, it carries its mirrored PF mask (empty) and its Apery
-    mask ({0}), and so does every node of a walk from it."""
+    tree; with masks, it carries its mirrored PF mask, which is empty, and
+    so does every node of a walk from it."""
     s = Semigroup((1,), 0, 0, 0)
     if masks:
         s._mirrored_pf_bits = 0
-        s._apery_bits = 1
     return s
 
 
@@ -494,8 +479,8 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     the child for every positive member u below t: the child's mirror
     shifted by t - a = m has bit t - n set iff n is a gap.
 
-    A parent that carries the mirrored PF and Apery masks hands both down,
-    by the recurrences in the module docstring.
+    A parent that carries the mirrored PF mask hands it down, by the
+    recurrence in the module docstring.
     """
     c = s.conductor
     mask = s.members_mask | ((1 << a) - (1 << c))
@@ -508,7 +493,10 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
         i = gens.index(a)
         gens = gens[:i] + gens[i + 1:]
         t = a + m
-        if not (mask | ((1 << t) - (2 << a))) & ~1 & ~(mirror << m):
+        # bit u of allowed: u = 0 or t - u a gap.  A subset test, x | y
+        # == y, where x & ~y == 0 would build negative ints
+        allowed = (mirror << m) | 1
+        if mask | ((1 << t) - (2 << a)) | allowed == allowed:
             gens += (t,)
         child = Semigroup(gens, a + 1, mask, mirror)
     pf = s._mirrored_pf_bits
@@ -516,8 +504,6 @@ def _remove_generator(s: Semigroup, a: int) -> Semigroup:
         # (pf & ~mask) without the negative ~mask, which costs more
         pf <<= a + 1 - c
         child._mirrored_pf_bits = (pf ^ (pf & mask)) | 1
-        child._apery_bits = (1 | (((1 << m) - 1) << (m + 2)) if a == m
-                             else s._apery_bits ^ ((1 << a) | (1 << (a + m))))
     return child
 
 

@@ -110,7 +110,8 @@ def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
     m = s.multiplicity
     ae = s.min_generators[-1]
     rgf = _rg_mask(s, f)
-    ap = _apery_mask(s) & ~1 & ~(1 << (f + m))
+    # 0 and f + m are always Apery elements; clear both
+    ap = _apery_mask(s) ^ 1 ^ (1 << (f + m))
     return (ae == 2 * s.genus + 1, rgf << m == ap,
             ae == f + m and rgf.bit_count() == m - 2, rgf, ap)
 
@@ -159,7 +160,7 @@ def _canonical_offsets(s: Semigroup) -> int:
     nonmin = 0
     for a in s.min_generators:
         nonmin |= k << a
-    return k & ~nonmin
+    return k ^ (k & nonmin)
 
 
 def canonical_ideal(s: Semigroup) -> tuple[int, ...]:

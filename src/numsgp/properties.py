@@ -31,12 +31,13 @@ holds(s), and record(s) gives the `check` result fields less holds, with the
 provenance string that goes beside them.  Only this module reads the domains
 and the names: `check` has one entry, check(), campaigns use resolve(),
 root(), plan() and count_failures(), and lookup() reads every name, hyphens
-as underscores.  A row marked reads_masks has a verdict that reads the PF or
-Apery mask, which root() then has the walk carry.  Records keep Fractions;
-the CLI encodes them.  Outside its domain a property is undefined; inside it
-but not applicable, it holds vacuously.  correspondence has one row per side
-and one for the trivial semigroup, whose partner is <2, 3>; a semigroup
-<2, 2g+1> is on both sides and is checked from each.
+as underscores.  A row marked reads_masks has a verdict that reads the
+mirrored PF mask, which root() then has the walk carry; canonical_gens is
+the one such row.  Records keep Fractions; the CLI encodes them.  Outside
+its domain a property is undefined; inside it but not applicable, it holds
+vacuously.  correspondence has one row per side and one for the trivial
+semigroup, whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides
+and is checked from each.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import core, maxgen
-from .core import Semigroup, _extended_mask, _mirrored_pf_mask, _reverse
+from .core import Semigroup, _extended_mask, _mirrored_pf_mask
 from .errors import UnknownProperty
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
@@ -87,7 +88,7 @@ class Row:
     provenance: str | None = None
     #: the flags of which a node needs one for the row to apply; 0: all
     applies: int = 0
-    #: holds reads the PF or Apery mask, which a walk can carry (root())
+    #: holds reads the mirrored PF mask, which a walk can carry (root())
     reads_masks: bool = False
 
 
@@ -122,11 +123,11 @@ def _canonical_gens(s):
 
 
 def _reflection_bijection(s):
+    # the mirror shifted to top + 1 bits has bit top - n for each gap n
     top = 2 * s.genus + 1
     c = s.conductor
-    mask = s.members_mask
-    members = _extended_mask(mask, c, top - c) & ~1
-    return _reverse(members, top + 1) == ((1 << c) - 1) ^ mask
+    members = _extended_mask(s.members_mask, c, top - c) & ~1
+    return s.mirror << (top + 1 - c) == members
 
 
 def _trivial_partner(s):
@@ -272,14 +273,12 @@ ROWS = (
     Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
         "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
-        maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report",
-        reads_masks=True),
+        maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report"),
     Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
         _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
-        "numsgp.maxgen.pf_formula_check", reads_masks=True),
-    Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number",
-        reads_masks=True),
+        "numsgp.maxgen.pf_formula_check"),
+    Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number"),
     Row("canonical_gens", ALL, _canonical_gens, _canonical_gens_record,
         "numsgp.maxgen.canonical_ideal", reads_masks=True),
     Row("reflection_bijection", MAXGEN, _reflection_bijection,
@@ -329,9 +328,9 @@ def resolve(selection) -> tuple[str, ...]:
 
 def root(names: tuple) -> Semigroup:
     """The root of a campaign's walk over the properties names: one that
-    carries the PF and Apery masks down the tree when a row of names reads
-    them, and a bare one otherwise, as carrying them costs each node a few
-    big-int operations that only those rows repay."""
+    carries the mirrored PF mask down the tree when a row of names reads
+    it, and a bare one otherwise, as carrying it costs each node a few
+    big-int operations that only that row repays."""
     return core._naturals(any(r.reads_masks for r in ROWS if r.name in names))
 
 

@@ -497,23 +497,27 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("prop", ["canonical_gens", "apery_reflected_gaps"])
 def test_broken_carried_mask_is_caught(prop, monkeypatch):
-    # a child step that hands down a wrong PF mask (0 marked
-    # pseudo-Frobenius, bit F of the mirrored mask) or a wrong Apery mask
-    # (c + m marked, above every Apery element): the row reads the carried
-    # mask, and its independent side, the mirror-read canonical offsets or
-    # RG(F) + m, catches it in this process and in pool workers alike
+    # a wrong mask read on every node: the PF mask a child step hands down
+    # with 0 marked pseudo-Frobenius (bit F of the mirrored mask), or the
+    # Apery mask, which no node carries, with c + m marked, above every
+    # Apery element, where maxgen looks it up.  The row's independent
+    # side, the mirror-read canonical offsets or RG(F) + m, catches it in
+    # this process and in pool workers alike
     real = core._remove_generator
 
     def corrupted(s, a):
         t = real(s, a)
-        if prop == "canonical_gens":
-            t._mirrored_pf_bits |= 1 << t.frobenius
-        else:
-            t._apery_bits |= 1 << (t.conductor + t.multiplicity)
+        t._mirrored_pf_bits |= 1 << t.frobenius
         return t
 
-    monkeypatch.setattr(tree, "_remove_generator", corrupted)
-    monkeypatch.setattr(campaign, "_remove_generator", corrupted)
+    def apery_mask(s):
+        return core._apery_mask(s) | 1 << (s.conductor + s.multiplicity)
+
+    if prop == "canonical_gens":
+        monkeypatch.setattr(tree, "_remove_generator", corrupted)
+        monkeypatch.setattr(campaign, "_remove_generator", corrupted)
+    else:
+        monkeypatch.setattr(maxgen, "_apery_mask", apery_mask)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     reports = [campaign.run_campaign(12, [prop], jobs) for jobs in (1, 2)]
     assert reports[0].property_failures == reports[1].property_failures
@@ -521,21 +525,19 @@ def test_broken_carried_mask_is_caught(prop, monkeypatch):
     assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 
-#: The rows whose verdicts read the PF or Apery mask.
-MASK_READERS = {"apery_reflected_gaps", "pf_formula", "type",
-                "canonical_gens"}
+#: The rows whose verdicts read the carried mirrored PF mask.
+MASK_READERS = {"canonical_gens"}
 
 
 def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
-    # a walk builds the masks, on every node, only for a selection with a
-    # row that reads one; the same holds for a pool worker's share
+    # a walk builds the mask, on every node, only for a selection with a
+    # row that reads it; the same holds for a pool worker's share
     real = core._remove_generator
     carried = Counter()
 
     def recorded(s, a):
         t = real(s, a)
-        carried[t._mirrored_pf_bits is not None,
-                t._apery_bits is not None] += 1
+        carried[t._mirrored_pf_bits is not None] += 1
         return t
 
     monkeypatch.setattr(tree, "_remove_generator", recorded)
@@ -547,12 +549,12 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
         has = bool(MASK_READERS.intersection(names))
         carried.clear()
         assert campaign.run_campaign(8, names, jobs=1).passed
-        assert carried.keys() == {(has, has)}, names
+        assert carried.keys() == {has}, names
         carried.clear()
         monkeypatch.setattr(campaign, "_claim", count().__next__)
         for _ in range(2):
             campaign._worker(8, names)
-        assert carried.keys() == {(has, has)}, names
+        assert carried.keys() == {has}, names
 
 
 def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
@@ -576,24 +578,25 @@ def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
 
 
 def test_broken_reverse_is_caught(monkeypatch, capsys):
-    # reflection_bijection reads _reverse from the registry module;
-    # pf_formula reads the carried mirrored PF mask reversed by core, and
-    # `check canonical_gens`, on a semigroup that carries no mask, the PF
-    # mask mirrored by core.  The complemented reversal that builds a
-    # from_generators mirror is left intact, so `check` fails on the PF side
+    # no check a campaign runs mirrors a mask, in this process or in pool
+    # workers: canonical_gens reads the carried PF mask, which is already
+    # mirrored.  `check canonical_gens`, on a semigroup that carries no
+    # mask, reads the PF mask mirrored by core._reverse; the complemented
+    # reversal that builds a from_generators mirror is left intact, so
+    # `check` fails on the PF side
     real = core._reverse
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a campaign reversed a mask")
 
     def off_by_one(v, n, complement=False):
         return real(v, n, True) if complement else real(v, n + 1)
 
-    monkeypatch.setattr(properties, "_reverse", off_by_one)
+    monkeypatch.setattr(core, "_reverse", refused)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        assert campaign.run_campaign(12, "all", jobs).passed
     monkeypatch.setattr(core, "_reverse", off_by_one)
-    rep = campaign.run_campaign(
-        10, ["pf_formula", "reflection_bijection"], jobs=1)
-    assert not rep.passed
-    for name in ("pf_formula", "reflection_bijection"):
-        witnesses = _failed(rep, name)
-        assert witnesses and all(len(w) >= 2 for w in witnesses)
     assert cli.main(["check", "canonical_gens",
                      CHECK_FIXTURES["canonical_gens"]]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["holds"] is False

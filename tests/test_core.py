@@ -15,12 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subset_oracle as oracle
-from numsgp import maxgen, tree
+from numsgp import maxgen, properties, tree
 from numsgp.core import (
     Semigroup,
     _add_frobenius,
     _apery_mask,
     _apery_round_robin,
+    _bit_positions,
     _mask_from_apery,
     _mirrored_pf_mask,
     _naturals,
@@ -37,6 +38,7 @@ from numsgp.errors import (
     NonCoprime,
 )
 from test_campaign import claimed_shares
+from test_cli import CHECK_FIXTURES
 
 
 # (generators, min_generators, F, genus, multiplicity, gaps, apery, pf, sporadic)
@@ -231,7 +233,7 @@ def test_pickle_roundtrip():
     stepped = _remove_generator(built, 9)
     # a from_generators result carries its Apery table, a tree step does not
     assert built._apery is not None and stepped._apery is None
-    # a node of a walk with masks carries its PF and Apery masks
+    # a node of a walk with masks carries its mirrored PF mask
     carried = [s for s in tree.walk(6, _naturals(masks=True))
                if s.genus == 6][-1]
     duplicates = [copy.copy, copy.deepcopy] + [
@@ -339,19 +341,18 @@ def test_tree_generators_ascend_to_at_most_f_plus_m():
 
 
 def _assert_carried_masks(s):
-    # the masks a node carries equal those of a Semigroup rebuilt from its
-    # four inputs, which computes them from the member mask; the PF mask
+    # the one mask a node carries equals that of a Semigroup rebuilt from
+    # its four inputs, which computes it from the member mask; the PF mask
     # travels mirrored, as the canonical ideal's offsets
     rebuilt = Semigroup(s.min_generators, s.conductor, s.members_mask,
                         s.mirror)
-    assert rebuilt._mirrored_pf_bits is None and rebuilt._apery_bits is None
+    assert rebuilt._mirrored_pf_bits is None
     assert s._mirrored_pf_bits == _mirrored_pf_mask(rebuilt), s
     assert _pf_mask(s) == _pf_mask(rebuilt), s
-    assert s._apery_bits == _apery_mask(rebuilt), s
 
 
 def test_carried_masks_match_recomputed_ones():
-    # the child step's PF and Apery recurrences on every nontrivial node of
+    # the child step's mirrored PF recurrence on every nontrivial node of
     # a walk with masks to genus 16, as the campaign walks it in one
     # process and shared by 2 or 3 pool workers claiming blocks in turn
     def check(nodes):
@@ -375,12 +376,27 @@ def test_carried_masks_match_recomputed_ones():
         _assert_carried_masks(s)
 
 
+def _reflects_members_onto_gaps(s):
+    # {2g+1-n : n in S, 1 <= n <= 2g} = gaps, with sets, as the paper
+    # states it; membership is read off the member mask's binary digits
+    top = 2 * s.genus + 1
+    c = s.conductor
+    digits = bin(s.members_mask)[:1:-1].ljust(c, "0")
+    members = {n for n in range(1, top) if n >= c or digits[n] == "1"}
+    gaps = {n for n in range(1, c) if digits[n] == "0"}
+    return {top - n for n in members} == gaps
+
+
 def test_carried_pf_mask_matches_subset_oracle():
     # the mirrored PF mask the child step hands down, on every nontrivial
     # node to genus 12: its bits are the canonical ideal's minimal offsets
     # and {F - p : p in PF} by the naive oracle, and the PF set and type
-    # read through it equal those of from_generators, which carries none
-    nodes = 0
+    # equal those of from_generators, which carries none.  The masks no
+    # node carries are checked on the same nodes: the Apery set from the
+    # Apery mask equals the oracle's, and the mirror-read
+    # reflection_bijection verdict equals the brute-force statement, on
+    # a_e = 2g + 1 nodes and off them
+    nodes = reflected = maxgen_nodes = 0
     for s in tree.walk(12, _naturals(masks=True)):
         if s.is_trivial:
             continue
@@ -394,8 +410,26 @@ def test_carried_pf_mask_matches_subset_oracle():
         assert built._mirrored_pf_bits is None
         assert s.pseudo_frobenius() == built.pseudo_frobenius(), gens
         assert s.type_number() == built.type_number(), gens
+        assert s.apery_set() == tuple(inv["apery"]), gens
+        verdict = properties._reflection_bijection(s)
+        assert verdict == _reflects_members_onto_gaps(s), gens
+        reflected += verdict
+        maxgen_nodes += gens[-1] == 2 * s.genus + 1
         nodes += 1
-    assert nodes == 1412
+    assert (nodes, reflected, maxgen_nodes) == (1412, 163, 163)
+
+
+@pytest.mark.parametrize("gens", sorted(
+    set(CHECK_FIXTURES.values()) | {"701,1100,1350", "1001,1003"}))
+def test_masks_of_a_built_semigroup(gens):
+    # inputs that carry no mask: the Apery mask's elements are the Apery
+    # table from_generators builds by round-robin shortest paths, and the
+    # mirror-read reflection_bijection verdict is the brute-force one
+    s = from_generators(int(a) for a in gens.split(","))
+    assert s._mirrored_pf_bits is None
+    assert sorted(_bit_positions(_apery_mask(s))) == sorted(s.apery_set())
+    assert properties._reflection_bijection(s) == \
+        _reflects_members_onto_gaps(s)
 
 
 def test_tree_step_edges():
