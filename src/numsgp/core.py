@@ -6,14 +6,15 @@ notation: gaps(S) is the complement, g = #gaps the genus, F the largest gap
 (Frobenius number), c = F + 1 the conductor, a_1 < ... < a_e the minimal
 generators, e the embedding dimension and m = a_1 the multiplicity.
 
-A Semigroup stores four inputs: the minimal generators, c, the member mask
-(bit n set iff n < c is in S; every n >= c is) and the mirror, the gap mask
-mirrored over c bits (bit c - 1 - n set iff n is a gap).  The constructor
-derives g = c - #(members below c), F = c - 1 and m = a_1 from them; the
-trivial semigroup of all nonnegative integers has c = 0, F = -1, g = 0.
-The reflections the checks test (RG(n, S), the canonical ideal
-K = {z : F - z not in S}, a child generator's minimality) read the mirror
-shifted, instead of mirroring the gap mask again.
+A Semigroup stores four inputs: the minimal generators, c, the gap mask
+(bit n set iff n is a gap; every gap is below c) and the mirror, the gap
+mask mirrored over c bits (bit c - 1 - n set iff n is a gap), so the two
+masks are the gap set in two coordinates.  The constructor derives
+g = #gaps, F = c - 1 and m = a_1 from them; the trivial semigroup of all
+nonnegative integers has c = 0, F = -1, g = 0.  The reflections the checks
+test (RG(n, S), the canonical ideal K = {z : F - z not in S}, a child
+generator's minimality) read the mirror shifted, instead of mirroring the
+gap mask again.
 
 A node of a walk from a root that carries it (_naturals(masks=True))
 also stores one mask, which the child step hands down in a few big-int
@@ -21,31 +22,31 @@ operations: the mirrored PF mask, bit F - p set iff p is in PF(S).  These
 are the offsets of the canonical ideal K = {z : F - z not in S}, in the
 coordinate of the mirror, so canonical_gens compares the two with no
 reversal.  _mirrored_pf_mask() reads the stored mask and otherwise
-computes one from the member mask; no query stores one, and every other
-mask (the PF mask, the Apery mask) is computed from the member mask per
-call.  For the child T = S minus {a}, a > F, with conductor c' = a + 1
-and member mask mask_T, PF(T) = {a} union {p in PF(S) : a - p not in S},
-the mirrored mask ((pf_S << (c' - c)) & ~mask_T) | 1 from the mirrored
-mask pf_S of S, shifted as the mirror is.  Proof: a is a gap of T, and
-a + u > F(T) for every positive u, so a is in PF(T); it lands on bit
-F(T) - a = 0.  Any other gap p of T is a gap of S below a.  If p is in
-PF(T), then p is in PF(S), as p + u is in T, a subset of S, for positive
-u in T, and p + a > F(S); and a - p, positive and not a, is not in T, so
-not in S.  Conversely, if p is in PF(S) and a - p is not in S, then for
-positive u in T, p + u is in S and is not a, so it is in T.  The shift
-moves bit F(S) - p of pf_S to bit a - p = F(T) - p, and a - p, positive
-and below a, is a gap of T iff it is a gap of S, which is bit a - p of
-~mask_T.  The root's mask is 0; its child <2, 3> gets bit 0, PF = {1}.
+computes one from the gap mask; no query stores one, and every other mask
+(the PF mask, the Apery mask) is computed from the gap mask per call.  For
+the child T = S minus {a}, a > F, with conductor c' = a + 1 and gap mask
+gaps_T, PF(T) = {a} union {p in PF(S) : a - p not in S}, the mirrored
+mask ((pf_S << (c' - c)) & gaps_T) | 1 from the mirrored mask pf_S of S,
+shifted as the mirror is.  Proof: a is a gap of T, and a + u > F(T) for
+every positive u, so a is in PF(T); it lands on bit F(T) - a = 0.  Any
+other gap p of T is a gap of S below a.  If p is in PF(T), then p is in
+PF(S), as p + u is in T, a subset of S, for positive u in T, and
+p + a > F(S); and a - p, positive and not a, is not in T, so not in S.
+Conversely, if p is in PF(S) and a - p is not in S, then for positive u
+in T, p + u is in S and is not a, so it is in T.  The shift moves bit
+F(S) - p of pf_S to bit a - p = F(T) - p, and a - p, positive and below
+a, is a gap of T iff it is a gap of S, which is bit a - p of gaps_T.  The
+root's mask is 0; its child <2, 3> gets bit 0, PF = {1}.
 
 from_generators() is Apery-first: it tests lower bounds on c against the
 conductor cap, then computes the Apery set with respect to a_1 by
 round-robin shortest paths in O(e * a_1) steps (Boecker & Liptak,
 Algorithmica 2007).  _from_apery() reads c = max Ap - a_1 + 1 off the
-table, checks the cap, and only then builds the mask by doubling shifts,
-and the mirror; it keeps the table, as a mask rescan costs a tenth of a
-large query.  The invariant scans (gaps, sporadic elements, Apery set,
-pseudo-Frobenius numbers) work on whole masks and extract bit positions in
-one linear pass, so a query costs O(e * a_1 + c).
+table, checks the cap, and only then builds the gap mask by doubling
+shifts, and the mirror; it keeps the table, as a mask rescan costs a
+tenth of a large query.  The invariant scans (gaps, sporadic elements,
+Apery set, pseudo-Frobenius numbers) work on whole masks and extract bit
+positions in one linear pass, so a query costs O(e * a_1 + c).
 
 The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
@@ -118,13 +119,6 @@ def conductor_cap() -> int:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 #: Byte b maps to b with its eight bits mirrored.
 _MIRRORED_BYTES = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
-#: Byte b maps to the complement of b with its eight bits mirrored.
-_MIRRORED_COMPLEMENTS = bytes(255 - b for b in _MIRRORED_BYTES)
-
-
-def _extended_mask(mask: int, conductor: int, k: int) -> int:
-    """mask with the k bits conductor, ..., conductor + k - 1 set."""
-    return mask | (((1 << k) - 1) << conductor)
 
 
 def _bit_positions(v: int) -> list[int]:
@@ -144,20 +138,16 @@ def _bit_positions(v: int) -> list[int]:
     return out
 
 
-def _reverse(v: int, n: int, complement: bool = False) -> int:
-    """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n;
-    with complement, the mirror of (2**n - 1) ^ v.
+def _reverse(v: int, n: int) -> int:
+    """v with bits 0..n-1 mirrored (bit i to bit n-1-i), for 0 <= v < 2**n.
 
-    One pass over the bytes of v: mirror (and complement) the bits of each
-    byte by table, read the bytes in the opposite order, and drop the
-    padding bits that the byte boundary added at the bottom.  Each n-bit
-    intermediate is dropped once read, so with v at most three are alive,
-    and a caller that complements a mask it keeps passes no temporary.
+    One pass over the bytes of v: mirror the bits of each byte by table,
+    read the bytes in the opposite order, and drop the padding bits that
+    the byte boundary added at the bottom.  Each n-bit intermediate is
+    dropped once read, so with v at most three are alive.
     """
     k = (n + 7) >> 3
-    data = v.to_bytes(k, "little")
-    data = data.translate(_MIRRORED_COMPLEMENTS if complement
-                          else _MIRRORED_BYTES)
+    data = v.to_bytes(k, "little").translate(_MIRRORED_BYTES)
     v = int.from_bytes(data, "big")
     del data
     return v >> (8 * k - n)
@@ -170,7 +160,7 @@ def _apery_mask(s: Semigroup) -> int:
     gap mask shifted up by m sets bit n iff n - m is a gap, and each such
     n exceeds m, so it is a member iff it is not a gap.
     """
-    gaps = ((1 << s.conductor) - 1) ^ s.members_mask
+    gaps = s.gap_mask
     ap = gaps << s.multiplicity
     return (ap ^ (ap & gaps)) | 1
 
@@ -189,17 +179,14 @@ def _pf_mask(s: Semigroup) -> int:
     """Bit p set iff p is a pseudo-Frobenius number of the nontrivial S.
 
     It suffices to test p + a in S over the minimal generators a, all at
-    once: the gap mask AND the member mask (extended past c) shifted down by
-    a, for each a.  It reads no carried mask.
+    once: the gaps p with no gap p + a, the gap mask minus the gap mask
+    shifted down by a, for each a.  It reads no carried mask.
     """
-    c = s.conductor
-    gens = s.min_generators
-    mask = s.members_mask
-    ext = _extended_mask(mask, c, gens[-1])
-    pf = ((1 << c) - 1) ^ mask
-    for a in gens:
-        pf &= ext >> a
-    return pf
+    gaps = s.gap_mask
+    hit = 0
+    for a in s.min_generators:
+        hit |= gaps >> a
+    return gaps ^ (gaps & hit)
 
 
 class Semigroup:
@@ -207,18 +194,19 @@ class Semigroup:
 
     Not constructed directly; use from_generators().  Equality and hashing go
     through the minimal generating set, which is unique.  Beside the four
-    inputs and the genus, frobenius and multiplicity derived from them (see
-    the module docstring) it keeps _from_apery()'s Apery table (None after a
-    tree step) and, on a node of a walk with masks, the mirrored PF mask
-    (bit F - p for p in PF(S), not bit p) that the child step hands down
-    (None elsewhere); these slots are written only when the value is
+    inputs (the minimal generators, c, and the gap set as the gap mask and
+    its mirror) and the genus, frobenius and multiplicity derived from them
+    (see the module docstring) it keeps _from_apery()'s Apery table (None
+    after a tree step) and, on a node of a walk with masks, the mirrored PF
+    mask (bit F - p for p in PF(S), not bit p) that the child step hands
+    down (None elsewhere); these slots are written only when the value is
     built.  Every other invariant is computed per call.
     """
 
     __slots__ = (
         "min_generators",
         "conductor",
-        "members_mask",
+        "gap_mask",
         "genus",
         "frobenius",
         "multiplicity",
@@ -227,12 +215,12 @@ class Semigroup:
         "_mirrored_pf_bits",
     )
 
-    def __init__(self, min_generators, conductor, members_mask, mirror):
+    def __init__(self, min_generators, conductor, gap_mask, mirror):
         self.min_generators = min_generators
         self.conductor = conductor
-        self.members_mask = members_mask
+        self.gap_mask = gap_mask
         self.mirror = mirror
-        self.genus = conductor - members_mask.bit_count()
+        self.genus = gap_mask.bit_count()
         self.frobenius = conductor - 1
         self.multiplicity = min_generators[0]
         self._apery = None
@@ -254,7 +242,7 @@ class Semigroup:
             return True
         if n < 0:
             return False
-        return (self.members_mask >> n) & 1 == 1
+        return (self.gap_mask >> n) & 1 == 0
 
     @property
     def embedding_dimension(self) -> int:
@@ -267,19 +255,18 @@ class Semigroup:
 
     def gaps(self) -> tuple[int, ...]:
         """The complement, ascending.  Empty for the trivial semigroup."""
-        return tuple(_bit_positions(
-            ((1 << self.conductor) - 1) ^ self.members_mask))
+        return tuple(_bit_positions(self.gap_mask))
 
     def sporadic_elements(self) -> tuple[int, ...]:
         """Elements of S strictly between 0 and F, ascending.
 
         [1, F] splits into gaps and sporadic elements, so there are F - g
-        of them when F >= 0.
+        of them when F >= 0: [1, F - 1] minus the gaps below F.
         """
         if self.frobenius < 1:
             return ()
         return tuple(_bit_positions(
-            self.members_mask & ((1 << self.frobenius) - 2)))
+            ((1 << self.conductor) - 2) ^ self.gap_mask))
 
     def apery_set(self) -> tuple[int, ...]:
         """Apery set of S with respect to m, indexed by residue: entry r is
@@ -370,21 +357,24 @@ def _apery_round_robin(gens: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return w, tuple(min_gens)
 
 
-def _mask_from_apery(apery: list[int], a1: int, conductor: int) -> int:
-    """Membership mask below the conductor: n in S iff n >= apery[n % a1].
+def _gaps_from_apery(apery: list[int], a1: int, conductor: int) -> int:
+    """Gap mask: n is a gap iff n < apery[n % a1], so iff n = w - k a1 for
+    an Apery entry w and k >= 1, and every gap is below the conductor.
 
-    Sets the Apery bits, then doubles the run of multiples of a_1 above each
-    one: after shifts by a1, 2 a1, 4 a1, ... every w + k a1 < c is present.
+    Sets bit w - a1 for each entry w >= a1, then doubles the run of
+    multiples of a_1 below each one: after shifts down by a1, 2 a1, 4 a1,
+    ... every w - k a1 >= 0 is present.  A shift down drops what falls
+    below 0, and bit w - a1 <= c - 1 is the top, so nothing lands past c.
     """
     bits = bytearray((conductor >> 3) + 1)
-    for w in filter(conductor.__gt__, apery):
+    for w in filter(a1.__le__, apery):
+        w -= a1
         bits[w >> 3] |= 1 << (w & 7)
     mask = int.from_bytes(bits, "little")
     del bits
     step = a1
     while step < conductor:
-        # shift only the low c - step bits, the ones that land below c
-        mask |= (mask & ((1 << (conductor - step)) - 1)) << step
+        mask |= mask >> step
         step <<= 1
     return mask
 
@@ -458,9 +448,8 @@ def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
     if conductor >= cap:
         raise ConductorCapExceeded(
             "conductor %d reaches the cap %d" % (conductor, cap))
-    mask = _mask_from_apery(apery, a1, conductor)
-    s = Semigroup(min_gens, conductor, mask,
-                  _reverse(mask, conductor, complement=True))
+    gaps = _gaps_from_apery(apery, a1, conductor)
+    s = Semigroup(min_gens, conductor, gaps, _reverse(gaps, conductor))
     s._apery = tuple(apery)
     return s
 
@@ -468,42 +457,39 @@ def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
 def _remove_generator(s: Semigroup, a: int) -> Semigroup:
     """S without one minimal generator a, for a > F(S): the child step.
 
-    The child has conductor a + 1 and its mask lacks a, so g' = g + 1 and
-    F' = a.  The other minimal generators stay minimal.  As a > F, a = m
+    The child has conductor a + 1 and its gap mask gains a, so g' = g + 1
+    and F' = a.  The other minimal generators stay minimal.  As a > F, a = m
     only on the ordinary S = {0} union [m, oo), F = m - 1, whose child
     {0} union [m + 1, oo) is generated by m + 1, ..., 2m + 1 (the root,
     m = 1, gives <2, 3>).  Otherwise a new generator is a + v for a positive
     v in S, at most F' + m' = a + m, so v = m.  t = a + m exceeds every
     generator of S, as those other than m lie in Ap(S, m), whose largest
-    entry is F + m, so it goes last.  It is minimal iff t - u is a gap of
-    the child for every positive member u below t: the child's mirror
-    shifted by t - a = m has bit t - n set iff n is a gap.
+    entry is F + m, so it goes last.  It is minimal iff every u in [1, t)
+    is a gap of the child or has t - u a gap: the child's mirror shifted by
+    t - a = m has bit t - n set iff n is a gap.  The test reads bits below
+    t only.
 
     A parent that carries the mirrored PF mask hands it down, by the
     recurrence in the module docstring.
     """
     c = s.conductor
-    mask = s.members_mask | ((1 << a) - (1 << c))
+    gaps = s.gap_mask | (1 << a)
     mirror = (s.mirror << (a + 1 - c)) | 1
     m = s.multiplicity
     if a == m:
-        child = Semigroup(tuple(range(m + 1, 2 * m + 2)), a + 1, mask, mirror)
+        child = Semigroup(tuple(range(m + 1, 2 * m + 2)), a + 1, gaps, mirror)
     else:
         gens = s.min_generators
         i = gens.index(a)
         gens = gens[:i] + gens[i + 1:]
         t = a + m
-        # bit u of allowed: u = 0 or t - u a gap.  A subset test, x | y
-        # == y, where x & ~y == 0 would build negative ints
-        allowed = (mirror << m) | 1
-        if mask | ((1 << t) - (2 << a)) | allowed == allowed:
+        below = (1 << t) - 1
+        if (gaps | (mirror << m) | 1) & below == below:
             gens += (t,)
-        child = Semigroup(gens, a + 1, mask, mirror)
+        child = Semigroup(gens, a + 1, gaps, mirror)
     pf = s._mirrored_pf_bits
     if pf is not None:
-        # (pf & ~mask) without the negative ~mask, which costs more
-        pf <<= a + 1 - c
-        child._mirrored_pf_bits = (pf ^ (pf & mask)) | 1
+        child._mirrored_pf_bits = ((pf << (a + 1 - c)) & gaps) | 1
     return child
 
 
@@ -511,15 +497,16 @@ def _add_frobenius(s: Semigroup) -> Semigroup:
     """S union {F} for a nontrivial S: the parent step, inverse of the child
     step.
 
-    F becomes a minimal generator and c drops to one past the largest gap
-    below F.  Another minimal generator b stays minimal unless b = 2F or
-    b = F + v for a positive v in S; as b <= F + m, b = 2F or b = F + m.
+    F becomes a minimal generator, the gap mask loses bit F, and c drops to
+    one past the largest gap left.  Another minimal generator b stays
+    minimal unless b = 2F or b = F + v for a positive v in S; as
+    b <= F + m, b = 2F or b = F + m.
     """
     f = s.frobenius
     m = s.multiplicity
     gens = sorted([f] + [b for b in s.min_generators
                          if b != f + m and b != 2 * f])
-    conductor = (((1 << f) - 1) & ~s.members_mask).bit_length()
-    return Semigroup(tuple(gens), conductor,
-                     s.members_mask & ((1 << conductor) - 1),
+    gaps = s.gap_mask ^ (1 << f)
+    conductor = gaps.bit_length()
+    return Semigroup(tuple(gens), conductor, gaps,
                      s.mirror >> (s.conductor - conductor))

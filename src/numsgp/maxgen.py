@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core
-from .core import Semigroup, _apery_mask, _bit_positions, _extended_mask
+from .core import Semigroup, _apery_mask, _bit_positions
 from .errors import (
     BadParameters,
     ConductorCapExceeded,
@@ -61,8 +61,7 @@ def reflection_map(s: Semigroup) -> tuple[tuple[int, int], ...]:
     """
     _require_max_generated(s)
     top = 2 * s.genus + 1
-    c = s.conductor
-    members = _extended_mask(s.members_mask, c, top - c) & ~1
+    members = ((1 << top) - 2) ^ s.gap_mask
     return tuple((n, top - n) for n in _bit_positions(members))
 
 
@@ -97,7 +96,7 @@ def _rg_mask(s: Semigroup, n: int) -> int:
     c = s.conductor
     mirror = (s.mirror << (n + 1 - c) if n >= c
               else s.mirror >> (c - 1 - n))
-    return mirror & (((1 << c) - 1) ^ s.members_mask)
+    return mirror & s.gap_mask
 
 
 def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import core, maxgen
-from .core import Semigroup, _extended_mask, _mirrored_pf_mask
+from .core import Semigroup, _mirrored_pf_mask
 from .errors import UnknownProperty
 
 #: Domain flags; domains(s) sets TRIVIAL alone, or ALL plus the others.
@@ -126,7 +126,7 @@ def _reflection_bijection(s):
     # the mirror shifted to top + 1 bits has bit top - n for each gap n
     top = 2 * s.genus + 1
     c = s.conductor
-    members = _extended_mask(s.members_mask, c, top - c) & ~1
+    members = ((1 << top) - 2) ^ s.gap_mask
     return s.mirror << (top + 1 - c) == members
 
 

@@ -47,17 +47,44 @@ MUTANTS = {
     # the PF recurrence keeps p with a - p in S
     "PF recurrence without its member filter": (
         "src/numsgp/core.py",
-        "child._mirrored_pf_bits = (pf ^ (pf & mask)) | 1",
-        "child._mirrored_pf_bits = pf | 1",
+        "child._mirrored_pf_bits = ((pf << (a + 1 - c)) & gaps) | 1",
+        "child._mirrored_pf_bits = (pf << (a + 1 - c)) | 1",
         ["tests/test_core.py::test_carried_masks_match_recomputed_ones",
          "tests/test_core.py::test_carried_pf_mask_matches_subset_oracle"]),
     # a + m joins the generators exactly when it is not minimal
     "minimality test inverted": (
         "src/numsgp/core.py",
-        "| allowed == allowed:",
-        "| allowed != allowed:",
+        "& below == below:",
+        "& below != below:",
         ["tests/test_tree.py::test_children_examples",
          "tests/test_core.py::test_tree_steps_match_from_generators"]),
+    # bits of the child's mirror at t and above enter the minimality test
+    "minimality test without & below": (
+        "src/numsgp/core.py",
+        "if (gaps | (mirror << m) | 1) & below == below:",
+        "if gaps | (mirror << m) | 1 == below:",
+        ["tests/test_campaign.py::test_broken_carried_mirror_is_caught"]),
+    # the runs of gaps below each Apery entry doubled upwards
+    "gap doubling shifted up": (
+        "src/numsgp/core.py",
+        "mask |= mask >> step",
+        "mask |= mask << step",
+        ["tests/test_core.py::test_tree_steps_match_from_generators",
+         "tests/test_core.py::test_construction_against_oracle"]),
+    # the parent S union {F} keeps F as a gap
+    "parent step keeps F as a gap": (
+        "src/numsgp/core.py",
+        "gaps = s.gap_mask ^ (1 << f)",
+        "gaps = s.gap_mask",
+        ["tests/test_core.py::test_tree_steps_match_from_generators",
+         "tests/test_maxgen.py::test_from_symmetric"]),
+    # the PF mask tests the gaps p - a, not p + a
+    "PF mask shifts the gaps up": (
+        "src/numsgp/core.py",
+        "hit |= gaps >> a",
+        "hit |= gaps << a",
+        ["tests/test_campaign.py::test_all_properties_pass_exhaustively",
+         "tests/test_campaign.py::test_verify_golden_report[16-all]"]),
     # the child step never adds the new generator a + m
     "a + m candidate dropped": (
         "src/numsgp/core.py",
@@ -91,6 +118,20 @@ MUTANTS = {
         "    if False:\n",
         ["tests/test_campaign.py::"
          "test_broken_closed_gap_clause_is_caught[wilf_on_t]"]),
+    # closed_gap_wilf no longer checks that T has genus g - 1
+    "genus clause of closed_gap_wilf dropped": (
+        "src/numsgp/properties.py",
+        "t.genus == s.genus - 1 and ",
+        "",
+        ["tests/test_campaign.py::"
+         "test_broken_closed_gap_clause_is_caught[genus]"]),
+    # closed_gap_wilf no longer checks F(T) < a_e - a_1
+    "Frobenius clause of closed_gap_wilf dropped": (
+        "src/numsgp/properties.py",
+        " and t.frobenius < ae - a1",
+        "",
+        ["tests/test_campaign.py::"
+         "test_broken_closed_gap_clause_is_caught[frobenius]"]),
     # Ap(S) minus {0, f + m} keeps f + m
     "f + m left in the Apery side": (
         "src/numsgp/maxgen.py",

@@ -479,13 +479,13 @@ def test_broken_rg_mask_is_caught(monkeypatch):
 
 def test_broken_carried_mirror_is_caught(monkeypatch):
     # a child step that marks 0 as a gap in the mirror it carries: the
-    # canonical_gens verdict checks the mirror-read offsets against the PF
-    # mask reversed from the members
+    # canonical_gens verdict checks the mirror-read offsets against the
+    # carried PF mask, which the child step builds from the gap mask
     real = core._remove_generator
 
     def zero_as_gap(s, a):
         t = real(s, a)
-        return core.Semigroup(t.min_generators, t.conductor, t.members_mask,
+        return core.Semigroup(t.min_generators, t.conductor, t.gap_mask,
                               t.mirror | 1 << (t.conductor - 1))
 
     monkeypatch.setattr(tree, "_remove_generator", zero_as_gap)
@@ -558,9 +558,9 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
 
 
 def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
-    # the genus is derived from the member mask, not handed down from the
-    # parent: a child step that loses a member bit (here 0, which every
-    # descendant inherits) puts its whole subtree one genus too deep
+    # the genus is derived from the gap mask, not handed down from the
+    # parent: a child step that loses a member (here 0, marked a gap, which
+    # every descendant inherits) puts its whole subtree one genus too deep
     real = core._remove_generator
     max_genus = 10
 
@@ -569,7 +569,7 @@ def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
         if t.genus >= max_genus - 1:
             return t
         return core.Semigroup(t.min_generators, t.conductor,
-                              t.members_mask & ~1, t.mirror)
+                              t.gap_mask | 1, t.mirror)
 
     monkeypatch.setattr(tree, "_remove_generator", drop_zero)
     rep = campaign.run_campaign(max_genus, [], jobs=1)
@@ -580,25 +580,23 @@ def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
 def test_broken_reverse_is_caught(monkeypatch, capsys):
     # no check a campaign runs mirrors a mask, in this process or in pool
     # workers: canonical_gens reads the carried PF mask, which is already
-    # mirrored.  `check canonical_gens`, on a semigroup that carries no
-    # mask, reads the PF mask mirrored by core._reverse; the complemented
-    # reversal that builds a from_generators mirror is left intact, so
-    # `check` fails on the PF side
+    # mirrored.  `check reflection_bijection` compares the mirror that
+    # core._reverse builds for a from_generators result with the forward
+    # gap mask, so an off-by-one reversal fails it
     real = core._reverse
 
     def refused(*args, **kwargs):
         raise AssertionError("a campaign reversed a mask")
 
-    def off_by_one(v, n, complement=False):
-        return real(v, n, True) if complement else real(v, n + 1)
+    def off_by_one(v, n):
+        return real(v, n + 1)
 
     monkeypatch.setattr(core, "_reverse", refused)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
         assert campaign.run_campaign(12, "all", jobs).passed
     monkeypatch.setattr(core, "_reverse", off_by_one)
-    assert cli.main(["check", "canonical_gens",
-                     CHECK_FIXTURES["canonical_gens"]]) == 1
+    assert cli.main(["check", "reflection_bijection", "3,5,7"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
 
 
@@ -617,28 +615,61 @@ def test_subset_failures_filed_by_name(monkeypatch):
     assert dict(rep.checked) == alone
 
 
-@pytest.mark.parametrize("clause", ["genus_and_frobenius", "wilf_on_t"])
+@pytest.mark.parametrize("clause", ["genus_and_frobenius", "wilf_on_t",
+                                    "frobenius", "genus"])
 def test_broken_closed_gap_clause_is_caught(clause, monkeypatch, capsys):
     # each inner clause of the closed_gap_wilf verdict fails on its own: a
     # closure that returns S itself keeps the genus, and a Wilf test that
-    # fails every T fails each node whose T is nontrivial; a campaign in
-    # this process and in pool workers, and `check`, all report it
+    # fails every T fails each node whose T is nontrivial.  On an interval
+    # S = <m, ..., 2m - 1>, m >= 4, a_e <= 2 a_1 skips the PF clause, and
+    # a closure that adds m - 2 keeps F = a_e - a_1 at the right genus,
+    # while one that adds m - 1 and m - 2 lowers F but drops the genus by
+    # two, so each breaks one clause.  A campaign in this process and in
+    # pool workers, and `check`, all report it
     nodes = [s for s in tree.walk(10) if not s.is_trivial
              and s.min_generators[-1] == 2 * s.genus + 1]
+    fixture = CHECK_FIXTURES["closed_gap_wilf"]
     if clause == "genus_and_frobenius":
         monkeypatch.setattr(maxgen, "close_largest_gap", lambda s: s)
-    else:
+    elif clause == "wilf_on_t":
         nodes = [s for s in nodes
                  if not maxgen.close_largest_gap(s).is_trivial]
         monkeypatch.setattr(maxgen, "_wilf_holds", lambda s: False)
+    else:
+        added = (2,) if clause == "frobenius" else (1, 2)
+        real = maxgen.close_largest_gap
+
+        def is_interval(s):
+            m = s.multiplicity
+            return m >= 4 and s.min_generators == tuple(range(m, 2 * m))
+
+        def close(s):
+            if not is_interval(s):
+                return real(s)
+            m = s.multiplicity
+            return core.from_generators(
+                [m - k for k in added] + list(range(m, 2 * m)))
+
+        nodes = [s for s in nodes if is_interval(s)]
+        assert len(nodes) == 8
+        for s in nodes:
+            t = close(s)
+            ae_minus_a1 = s.multiplicity - 1
+            if clause == "frobenius":
+                assert t.genus == s.genus - 1
+                assert t.frobenius == ae_minus_a1
+            else:
+                assert t.genus == s.genus - 2
+                assert t.frobenius < ae_minus_a1
+        monkeypatch.setattr(maxgen, "close_largest_gap", close)
+        fixture = "4,5,6,7"
     want = sorted(s.min_generators for s in nodes)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     forked = multiprocessing.get_start_method() == "fork"
     for jobs in (1, 2) if forked else (1,):
         rep = campaign.run_campaign(10, ["closed_gap_wilf"], jobs)
         assert _failed(rep, "closed_gap_wilf") == want, jobs
-    assert cli.main(["check", "closed_gap_wilf",
-                     CHECK_FIXTURES["closed_gap_wilf"]]) == 1
+    assert cli.main(["check", "closed_gap_wilf", fixture]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
 
 

@@ -366,7 +366,7 @@ def test_notiz_family_invariants_sweep():
 def test_notiz_family_closed_form_matches_from_generators(monkeypatch):
     # notiz_family builds its result from the closed form; from_generators
     # on the same generators is the reference it must match
-    fields = ("min_generators", "conductor", "members_mask", "genus",
+    fields = ("min_generators", "conductor", "gap_mask", "genus",
               "frobenius", "multiplicity", "mirror")
     for m in range(3, 25):
         for f in range(m + 1, 120):
@@ -402,7 +402,7 @@ def _notiz_family_per_residue(m, f):
 def test_notiz_family_matches_per_residue_construction(m, f):
     s = maxgen.notiz_family(m, f)
     t = _notiz_family_per_residue(m, f)
-    for k in ("min_generators", "conductor", "members_mask", "mirror"):
+    for k in ("min_generators", "conductor", "gap_mask", "mirror"):
         assert getattr(s, k) == getattr(t, k), k
     assert s.apery_set() == t.apery_set()
 
@@ -449,8 +449,8 @@ def _rg_mask_loop(mask, conductor, n):
 
 
 def _canonical_masks_loop(s):
-    mask = s.members_mask
     c = s.conductor
+    mask = ((1 << c) - 1) ^ s.gap_mask
     f = s.frobenius
     k = 0
     v = ~mask & ((1 << c) - 1) & ~1
@@ -500,7 +500,8 @@ def test_reflection_masks_match_per_gap_loops():
         if s.is_trivial:
             continue
         nodes += 1
-        mask, c = s.members_mask, s.conductor
+        c = s.conductor
+        mask = ((1 << c) - 1) ^ s.gap_mask
         for n in range(1, s.frobenius + s.multiplicity + 2):
             assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
         assert (s.mirror, maxgen._canonical_offsets(s)) == \
@@ -517,7 +518,8 @@ def test_reflection_masks_large_input():
     # number adjoined is max-generated with F = 29,698
     for s in (S(701, 1100, 1350),
               maxgen.from_symmetric(S(151, 200))):
-        mask, c, f = s.members_mask, s.conductor, s.frobenius
+        c, f = s.conductor, s.frobenius
+        mask = ((1 << c) - 1) ^ s.gap_mask
         for n in (f, f + s.multiplicity):
             assert maxgen._rg_mask(s, n) == _rg_mask_loop(mask, c, n)
         k, offs = _canonical_masks_loop(s)
