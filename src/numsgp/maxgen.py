@@ -84,7 +84,15 @@ def from_symmetric(sp: Semigroup) -> Semigroup:
 def frobenius_formula_check(s: Semigroup) -> bool:
     """F = a_e - m; holds for every max-generated semigroup."""
     _require_max_generated(s)
-    return s.frobenius == s.min_generators[-1] - s.multiplicity
+    gens = s.min_generators
+    return _frobenius_form(s.genus, s.conductor, gens[0], len(gens),
+                           gens[-1])
+
+
+def _frobenius_form(g: int, c: int, m: int, e: int, ae: int) -> bool:
+    """F = a_e - m on the scalars of a nontrivial semigroup (see
+    _wilf_form)."""
+    return c - 1 == ae - m
 
 
 def _rg_mask(s: Semigroup, n: int) -> int:
@@ -184,10 +192,17 @@ def pf_formula_check(s: Semigroup) -> bool:
     return list(s.pseudo_frobenius()) == expected
 
 
+def _wilf_form(g: int, c: int, m: int, e: int, ae: int) -> bool:
+    """Wilf's inequality g e <= (e - 1)(F + 1) on the genus g, conductor
+    c = F + 1, multiplicity m, embedding dimension e and largest generator
+    a_e of a nontrivial semigroup, the scalars a campaign's leaf has."""
+    return g * e <= (e - 1) * c
+
+
 def _wilf_holds(s: Semigroup) -> bool:
     """Wilf's inequality g e <= (e - 1)(F + 1), for nontrivial S."""
-    e = len(s.min_generators)
-    return s.genus * e <= (e - 1) * (s.frobenius + 1)
+    gens = s.min_generators
+    return _wilf_form(s.genus, s.conductor, gens[0], len(gens), gens[-1])
 
 
 def wilf_report(s: Semigroup) -> dict:
@@ -221,23 +236,27 @@ def maxgen_inequality_chain(s: Semigroup) -> dict:
     inequality for max-generated S with e > 2, so all three must agree.
     """
     _require_max_generated(s)
-    e = len(s.min_generators)
+    gens = s.min_generators
+    e = len(gens)
     if e <= 2:
         raise EmbeddingDimTooSmall(
             "inequality chain needs e > 2, got e = %d" % e)
+    # S - {a_e} has genus g + 1, and its m' and e' come from the generator
+    # rule without building it: it is the first leaf, as a_e > F is the
+    # largest generator
+    _, _, m_sym, e_sym, _ = next(core._leaves(s))
     return {
         "mult_form_holds":
             (s.multiplicity - 2) * (e - 1) <= (e - 2) * s.genus,
-        "symmetric_form_holds": _genus_bound_forms(to_symmetric(s))[0],
+        "symmetric_form_holds":
+            _genus_bound_forms(s.genus + 1, m_sym, e_sym)[0],
         "wilf_holds": _wilf_holds(s),
     }
 
 
-def _genus_bound_forms(t: Semigroup) -> tuple[bool, bool]:
-    """(g - 1)(e - 1) >= (m - 2) e, and its count form e + g >= 2m - 1."""
-    e = len(t.min_generators)
-    g = t.genus
-    m = t.multiplicity
+def _genus_bound_forms(g: int, m: int, e: int) -> tuple[bool, bool]:
+    """(g - 1)(e - 1) >= (m - 2) e, and its count form e + g >= 2m - 1, on
+    the genus, multiplicity and embedding dimension of a semigroup."""
     return (g - 1) * (e - 1) >= (m - 2) * e, e + g >= 2 * m - 1
 
 
@@ -249,7 +268,8 @@ def genus_lower_bound_check(t: Semigroup) -> bool:
     so this returns the verdict without asserting anything.
     """
     _require_nontrivial(t)
-    return _genus_bound_forms(t)[0]
+    return _genus_bound_forms(t.genus, t.multiplicity,
+                              len(t.min_generators))[0]
 
 
 def close_largest_gap(s: Semigroup) -> Semigroup:

@@ -30,13 +30,22 @@ them when applies is 0.  M2 and INTERVAL mark the two special families,
 holds(s), and record(s) gives the `check` result fields less holds, with the
 provenance string that goes beside them.  Only this module reads the domains
 and the names: `check` has one entry, check(), campaigns use resolve(),
-root(), plan() and count_failures(), and lookup() reads every name, hyphens
-as underscores.  A row marked reads_masks has a verdict that reads the
-mirrored PF mask, which root() then has the walk carry; canonical_gens is
-the one such row.  Records keep Fractions; the CLI encodes them.  Outside
-its domain a property is undefined; inside it but not applicable, it holds
-vacuously.  correspondence has one row per side and one for the trivial
-semigroup, whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides
+root(), folds(), plan(), domains(), scalar_domains() and count_failures(),
+and lookup() reads every name, hyphens as underscores.  A row declares
+what its verdict reads.  A row with a scalar verdict reads only the
+scalars (g, c, m, e, a_e), and holds(s) calls it on the node's; those are
+wilf, wilf_equality, frobenius_formula, sym_generators and genus_bound.
+A campaign checks those rows on the scalars of each node and of each leaf
+of its walk, and builds a leaf only for the other rows, which read the
+node; domains(s) is scalar_domains() of the node's scalars, which keys a
+leaf too, and folds() says whether a selection leaves a leaf to check
+without building it.  A row marked reads_masks has a verdict that reads
+the mirrored PF mask, which root() then has the walk carry;
+canonical_gens is the one such row.  Records keep Fractions; the CLI
+encodes them.  Outside its domain a property is
+undefined; inside it but not applicable, it holds vacuously.
+correspondence has one row per side and one for the trivial semigroup,
+whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides
 and is checked from each.
 """
 
@@ -56,18 +65,25 @@ M2, M_AT_LEAST_3, INTERVAL, F_ABOVE_M = 16, 32, 64, 128
 
 
 def domains(s: Semigroup) -> int:
-    """The domain flags of s: a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC,
-    m = 2 is M2, F < m is INTERVAL.  As F >= m - 1 and the gap F is not the
-    member m, INTERVAL is F = m - 1, and F_ABOVE_M is its complement."""
-    f = s.frobenius
-    if f < 0:
+    """The domain flags of s, from its scalars (scalar_domains)."""
+    return scalar_domains(s.genus, s.conductor, s.multiplicity,
+                          s.min_generators[-1])
+
+
+def scalar_domains(g: int, c: int, m: int, ae: int) -> int:
+    """The domain flags of the semigroup of genus g, conductor c,
+    multiplicity m and largest minimal generator a_e, which a campaign
+    reads off a leaf it does not build: c = 0 is TRIVIAL, and otherwise
+    a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC, m = 2 is M2, F < m is
+    INTERVAL.  As F >= m - 1 and the gap F is not the member m, INTERVAL
+    is F = m - 1, and F_ABOVE_M is its complement."""
+    if not c:
         return TRIVIAL
-    g2 = 2 * s.genus
-    m = s.multiplicity
-    return (ALL | (MAXGEN if s.min_generators[-1] == g2 + 1 else 0)
-            | (SYMMETRIC if f + 1 == g2 else 0)
+    g2 = 2 * g
+    return (ALL | (MAXGEN if ae == g2 + 1 else 0)
+            | (SYMMETRIC if c == g2 else 0)
             | (M2 if m == 2 else M_AT_LEAST_3)
-            | (INTERVAL if f < m else F_ABOVE_M))
+            | (INTERVAL if c <= m else F_ABOVE_M))
 
 
 #: For each domain but TRIVIAL, a function that raises the domain's
@@ -79,7 +95,15 @@ REQUIRE = {ALL: maxgen._require_nontrivial,
 
 @dataclass
 class Row:
-    """One identity on one domain; `check` adds holds to record(s)'s fields."""
+    """One identity on one domain; `check` adds holds to record(s)'s fields.
+
+    holds(s) is the verdict on a node.  A row built by _scalar_row has a
+    scalar verdict: holds calls scalar, the same verdict on the scalars
+    (g, c, m, e, a_e) of a nontrivial node, and carries it, so a campaign
+    calls scalar on the scalars it has read off a node or derived for a
+    leaf it does not build.  reads_masks marks a holds that reads the
+    mirrored PF mask.
+    """
 
     name: str
     domain: int
@@ -91,13 +115,38 @@ class Row:
     #: holds reads the mirrored PF mask, which a walk can carry (root())
     reads_masks: bool = False
 
+    @property
+    def scalar(self) -> Callable[[int, int, int, int, int], bool] | None:
+        """The verdict on the scalars (g, c, m, e, a_e) of a nontrivial
+        node that holds carries, or None when holds reads more of the
+        node."""
+        return getattr(self.holds, "scalar", None)
+
+
+def _scalar_row(name, domain, scalar, record, provenance, applies=0):
+    """A row whose verdict reads only the scalars: holds calls scalar on
+    the node's and carries it as holds.scalar."""
+    def holds(s):
+        gens = s.min_generators
+        return scalar(s.genus, s.conductor, gens[0], len(gens), gens[-1])
+
+    holds.scalar = scalar
+    return Row(name, domain, holds, record, provenance, applies)
+
 
 # -- verdicts ---------------------------------------------------------------
 
-def _wilf_equality(s):
-    e = len(s.min_generators)
-    c = s.conductor
-    return e * (c - s.genus) == c
+def _wilf_equality(g, c, m, e, ae):
+    return e * (c - g) == c
+
+
+def _sym_generators(g, c, m, e, ae):
+    return ae < c - 1
+
+
+def _genus_bound(g, c, m, e, ae):
+    bound, count_form = maxgen._genus_bound_forms(g, m, e)
+    return bound and count_form
 
 
 def _apery_reflected_gaps(s):
@@ -166,15 +215,6 @@ def _closed_gap_wilf(s):
     return ae <= 2 * a1 or (
         len(t.min_generators) == len(gens)
         and t.pseudo_frobenius() == maxgen.distinguished_set_for_closed(s))
-
-
-def _sym_generators(s):
-    return s.min_generators[-1] < s.frobenius
-
-
-def _genus_bound(s):
-    bound, count_form = maxgen._genus_bound_forms(s)
-    return bound and count_form
 
 
 def _inequality_chain(s):
@@ -263,19 +303,21 @@ def _sym_generators_record(s):
 
 def _genus_bound_record(s):
     return {"bound_holds": maxgen.genus_lower_bound_check(s),
-            "count_form_holds": maxgen._genus_bound_forms(s)[1],
+            "count_form_holds": maxgen._genus_bound_forms(
+                s.genus, s.multiplicity, s.embedding_dimension)[1],
             "asserted": bool(domains(s) & F_ABOVE_M)}
 
 
 ROWS = (
-    Row("wilf", ALL, maxgen._wilf_holds, maxgen.wilf_report,
-        "numsgp.maxgen.wilf_report"),
-    Row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
-        "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
+    _scalar_row("wilf", ALL, maxgen._wilf_form, maxgen.wilf_report,
+                "numsgp.maxgen.wilf_report"),
+    _scalar_row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
+                "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
     Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
         maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report"),
-    Row("frobenius_formula", MAXGEN, maxgen.frobenius_formula_check,
-        _frobenius_formula_record, "numsgp.maxgen.frobenius_formula_check"),
+    _scalar_row("frobenius_formula", MAXGEN, maxgen._frobenius_form,
+                _frobenius_formula_record,
+                "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
         "numsgp.maxgen.pf_formula_check"),
     Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number"),
@@ -290,11 +332,10 @@ ROWS = (
         "numsgp.maxgen.from_symmetric"),
     Row("closed_gap_wilf", MAXGEN, _closed_gap_wilf, _closed_gap_wilf_record,
         "numsgp.maxgen.close_largest_gap"),
-    Row("sym_generators", SYMMETRIC, _sym_generators, _sym_generators_record,
-        "numsgp.maxgen", applies=M_AT_LEAST_3),
-    Row("genus_bound", ALL, _genus_bound, _genus_bound_record,
-        "numsgp.maxgen.genus_lower_bound_check",
-        applies=F_ABOVE_M),
+    _scalar_row("sym_generators", SYMMETRIC, _sym_generators,
+                _sym_generators_record, "numsgp.maxgen", applies=M_AT_LEAST_3),
+    _scalar_row("genus_bound", ALL, _genus_bound, _genus_bound_record,
+                "numsgp.maxgen.genus_lower_bound_check", applies=F_ABOVE_M),
     # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain.
     # On a_e = 2g+1, e > 2 iff m >= 3: <a, b> has 2g = (a-1)(b-1), so
     # b = 2g+1 forces a = 2
@@ -334,12 +375,26 @@ def root(names: tuple) -> Semigroup:
     return core._naturals(any(r.reads_masks for r in ROWS if r.name in names))
 
 
+def folds(names: tuple) -> bool:
+    """Whether a campaign over the properties names can check a leaf of
+    its walk without building it: not when a row of names that reads the
+    node applies to every nontrivial semigroup, as apery_reflected_gaps
+    and canonical_gens do, for then every leaf is built."""
+    return not any(r.scalar is None and r.domain == ALL and not r.applies
+                   for r in ROWS if r.name in names)
+
+
 def plan(names: tuple, key: int) -> tuple:
-    """(position in names, holds) of each row of the properties names that
-    applies to the nodes with domain key, in registry order."""
+    """The rows of the properties names that apply to the nodes with domain
+    key, in registry order, as (scalars, reads): the (position in names,
+    scalar) of each row with a scalar verdict, and the (position in names,
+    holds) of each other row."""
     index = {name: i for i, name in enumerate(names)}
-    return tuple((index[r.name], r.holds) for r in ROWS if r.name in index
-                 and r.domain & key and (not r.applies or r.applies & key))
+    rows = [(index[r.name], r.holds, r.scalar) for r in ROWS
+            if r.name in index and r.domain & key
+            and (not r.applies or r.applies & key)]
+    return (tuple((i, scalar) for i, _, scalar in rows if scalar),
+            tuple((i, holds) for i, holds, scalar in rows if not scalar))
 
 
 def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:

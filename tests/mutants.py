@@ -61,8 +61,8 @@ MUTANTS = {
     # bits of the child's mirror at t and above enter the minimality test
     "minimality test without & below": (
         "src/numsgp/core.py",
-        "if (gaps | (mirror << m) | 1) & below == below:",
-        "if gaps | (mirror << m) | 1 == below:",
+        "if (gaps | (mirror << m)) & below == below:",
+        "if gaps | (mirror << m) == below:",
         ["tests/test_campaign.py::test_broken_carried_mirror_is_caught"]),
     # the runs of gaps below each Apery entry doubled upwards
     "gap doubling shifted up": (
@@ -88,8 +88,8 @@ MUTANTS = {
     # the child step never adds the new generator a + m
     "a + m candidate dropped": (
         "src/numsgp/core.py",
-        "            gens += (t,)\n",
-        "            pass\n",
+        "        return (t,)\n",
+        "        return ()\n",
         ["tests/test_tree.py::test_children_examples",
          "tests/test_tree.py::test_counts_by_genus"]),
     "M2 and M_AT_LEAST_3 swapped": (
@@ -100,8 +100,8 @@ MUTANTS = {
          "tests/test_campaign.py::test_tallies_match_oracle"]),
     "domains() tests g2 + 3 for MAXGEN": (
         "src/numsgp/properties.py",
-        "s.min_generators[-1] == g2 + 1",
-        "s.min_generators[-1] == g2 + 3",
+        "(MAXGEN if ae == g2 + 1 else 0)",
+        "(MAXGEN if ae == g2 + 3 else 0)",
         ["tests/test_campaign.py::test_tallies_match_oracle",
          "tests/test_tree.py::test_largest_generator_bound"]),
     # the non-minimal offsets toggled instead of cleared
@@ -132,6 +132,34 @@ MUTANTS = {
         "",
         ["tests/test_campaign.py::"
          "test_broken_closed_gap_clause_is_caught[frobenius]"]),
+    # a folded leaf's e' one too many: <2, 2g + 1> misses Wilf equality
+    "leaf e' off by one": (
+        "src/numsgp/core.py",
+        "    e = len(gens) - 1\n",
+        "    e = len(gens)\n",
+        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
+         "tests/test_campaign.py::test_verify_golden_report["
+         "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
+         "genus_bound]"]),
+    # a folded leaf S - {a_e} with a_e + m not minimal keeps a_e as its
+    # largest generator, which is F: the symmetric ones fail sym_generators
+    "leaf a_e' without the second-largest branch": (
+        "src/numsgp/core.py",
+        "yield a, step, m, e, gens[-2] if a == top else top",
+        "yield a, step, m, e, top",
+        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
+         "tests/test_campaign.py::test_verify_golden_report["
+         "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
+         "genus_bound]"]),
+    # the folded child of an ordinary S = <m, ..., 2m - 1> keeps m
+    "leaf a = m case dropped": (
+        "src/numsgp/core.py",
+        "m + 1 if a == m else m",
+        "m",
+        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
+         "tests/test_campaign.py::test_verify_golden_report["
+         "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
+         "genus_bound]"]),
     # Ap(S) minus {0, f + m} keeps f + m
     "f + m left in the Apery side": (
         "src/numsgp/maxgen.py",

@@ -4,7 +4,7 @@ import json
 import multiprocessing
 import random
 from collections import Counter
-from itertools import count
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -193,7 +193,7 @@ def test_pool_no_larger_than_work(monkeypatch):
         def starmap(self, fn, items, chunksize=1):
             return [fn(*x) for x in items]
 
-    monkeypatch.setattr(campaign, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert [_item_count(g) for g in (6, 7, 8, 9)] == [2, 4, 8, 15]
     for cpus, max_genus, jobs, want in (
             (8, 0, 8, []), (8, 5, 64, []), (8, 6, 64, [2]), (8, 7, 64, [4]),
@@ -219,13 +219,15 @@ def _frontier(max_genus):
     return above, units
 
 
-def claimed_shares(max_genus, jobs, seed, start=None):
-    """The nodes of jobs shares of the tree up to max_genus that claim
-    their blocks from one counter, as pool workers do, each list in its
-    share's order.  The shares take turns one node at a time in an order
-    drawn from random.Random(seed)."""
+def claimed_shares(max_genus, depth, jobs, seed, start=None):
+    """The nodes of jobs shares of the tree up to genus depth, with the
+    frontier of the bound max_genus, that claim their blocks from one
+    counter, as pool workers do, each list in its share's order.  The
+    shares take turns one node at a time in an order drawn from
+    random.Random(seed)."""
     claim = count().__next__
-    shares = [campaign._share(max_genus, claim, start) for _ in range(jobs)]
+    shares = [campaign._share(max_genus, depth, claim, start)
+              for _ in range(jobs)]
     nodes = [[] for _ in shares]
     rng = random.Random(seed)
     live = list(range(jobs))
@@ -238,11 +240,139 @@ def claimed_shares(max_genus, jobs, seed, start=None):
     return nodes
 
 
+def folded(nodes, max_genus):
+    """The nodes, each followed, at genus max_genus - 1, by its children
+    built as campaign._tally builds a leaf, from core._leaves's steps."""
+    for s in nodes:
+        yield s
+        if s.genus == max_genus - 1:
+            for a, step, *_ in core._leaves(s):
+                yield core._remove_generator(s, a, step)
+
+
+def test_folded_leaves_match_built_children():
+    # on every node of genus <= 16, core._leaves gives each child S - {a},
+    # a descending, and its scalars, which with g + 1 and c' = a + 1 key it
+    # and decide its scalar rows as the built child does, in each case of
+    # the generator rule: a = m, a the largest generator, and a + m not
+    # minimal
+    scalar_rows = [r for r in properties.ROWS if r.scalar is not None]
+    assert {r.name for r in scalar_rows} == {
+        "wilf", "wilf_equality", "frobenius_formula", "sym_generators",
+        "genus_bound"}
+    cases = Counter()
+    for s in tree.walk(16):
+        f = s.frobenius
+        gens = s.min_generators
+        leaves = list(core._leaves(s))
+        assert [a for a, *_ in leaves] == [a for a in reversed(gens)
+                                           if a > f]
+        for a, step, m, e, ae in leaves:
+            t = core._remove_generator(s, a)
+            g, c = s.genus + 1, a + 1
+            assert (t.genus, t.conductor, t.multiplicity,
+                    t.embedding_dimension, t.min_generators[-1]) == (
+                g, c, m, e, ae), (gens, a)
+            assert core._remove_generator(s, a, step).min_generators == \
+                t.min_generators
+            key = properties.scalar_domains(g, c, m, ae)
+            assert key == properties.domains(t), (gens, a)
+            for row in scalar_rows:
+                assert row.scalar(g, c, m, e, ae) == row.holds(t), (
+                    row.name, gens, a)
+            if a == s.multiplicity:
+                cases["a = m"] += 1
+            else:
+                cases[(a + s.multiplicity in t.min_generators,
+                       a == gens[-1])] += 1
+    # (a + m minimal, a = a_e); a_e' is the second largest generator of S
+    # in the case (False, True)
+    assert cases == {"a = m": 17, (True, True): 512, (True, False): 2464,
+                     (False, True): 7079, (False, False): 9742}, cases
+
+
+#: The rows that read the node on every nontrivial semigroup: a
+#: selection with one of them builds every leaf, so it does not fold.
+EVERY_NODE_READERS = {"apery_reflected_gaps", "canonical_gens"}
+
+
+def test_fold_only_where_a_leaf_can_go_unbuilt(monkeypatch):
+    # a campaign walks to G - 1 and folds the leaves unless a selected row
+    # reads every node; in both cases the walk builds no node past it, only
+    # a folding campaign takes the leaves' steps in core._leaves, and it
+    # builds a leaf exactly when a selected row that reads the node applies
+    # to it
+    built, leaves = Counter(), Counter()
+    real_step, real_leaves = core._remove_generator, core._leaves
+
+    def recorded(s, a):
+        t = real_step(s, a)
+        built[t.genus] += 1
+        return t
+
+    def counted(s):
+        for leaf in real_leaves(s):
+            leaves["leaf"] += 1
+            yield leaf
+
+    def folded_build(s, a, step):
+        leaves["built"] += 1
+        return real_step(s, a, step)
+
+    monkeypatch.setattr(tree, "_remove_generator", recorded)
+    monkeypatch.setattr(campaign, "_leaves", counted)
+    monkeypatch.setattr(campaign, "_remove_generator", folded_build)
+    keys = [properties.domains(t) for t in tree.walk(10) if t.genus == 10]
+    selections = [(p,) for p in properties.PROPERTIES]
+    selections += [(), ("wilf", "type"), ("wilf", "canonical_gens"),
+                   properties.PROPERTIES]
+    for names in selections:
+        fold = not EVERY_NODE_READERS.intersection(names)
+        assert properties.folds(names) == fold, names
+        assert campaign._depth(0, names) == 0
+        assert campaign._depth(10, names) == 10 - fold
+        readers = [r for r in properties.ROWS
+                   if r.name in names and r.scalar is None]
+        read = sum(1 for key in keys if any(
+            r.domain & key and (not r.applies or r.applies & key)
+            for r in readers))
+        built.clear()
+        leaves.clear()
+        assert campaign.run_campaign(10, names, 1).passed
+        assert max(built) == 10 - fold, names
+        assert leaves["leaf"] == (204 if fold else 0), names
+        assert leaves["built"] == (read if fold else 0), names
+        if names == ("type",):
+            assert read == 18
+
+
+def test_folded_leaf_failure_is_built_for_its_witness(monkeypatch):
+    # a scalar verdict that fails every leaf of genus 10: the campaign
+    # still folds them, and builds each one only for its witness, the
+    # leaf's minimal generators, in this process and in pool workers
+    fails_at_10 = properties._scalar_row(
+        "wilf", properties.ALL, lambda g, c, m, e, ae: g != 10, None,
+        None).holds
+    for row in properties.ROWS:
+        if row.name == "wilf":
+            monkeypatch.setattr(row, "holds", fails_at_10)
+    assert properties.folds(("wilf",))
+    want = sorted(t.min_generators for t in tree.walk(10) if t.genus == 10)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    forked = multiprocessing.get_start_method() == "fork"
+    for jobs in (1, 2) if forked else (1,):
+        rep = campaign.run_campaign(10, ["wilf"], jobs)
+        assert _failed(rep, "wilf") == want, jobs
+        assert dict(rep.checked)["wilf"] == rep.total - 1
+
+
 def test_shares_partition_the_tree():
-    # every node lands in exactly one share however the shares interleave
-    # their claims, with carried masks or without; and the frontier depends
-    # on the genus bound alone: the units are the nodes of genus G - 5 and
-    # the items above them the nodes of lower genus, each listed once
+    # every node lands in exactly one share, or, when the shares stop at
+    # genus G - 1, among the leaves folded into one share's node of genus
+    # G - 1, however the shares interleave their claims, with carried
+    # masks or without; and the frontier depends on the genus bound alone:
+    # the units are the nodes of genus G - 5 and the items above them the
+    # nodes of lower genus, each listed once
     for max_genus in range(6, 17):
         whole = Counter(s.min_generators for s in tree.walk(max_genus))
         deep = max_genus - campaign.UNIT_MARGIN
@@ -252,14 +382,19 @@ def test_shares_partition_the_tree():
         assert Counter(units) == Counter(s.min_generators for s in
                                          tree.walk(deep)
                                          if s.genus == deep), max_genus
-        for masks in (False, True):
+        for masks, depth in product((False, True),
+                                    (max_genus - 1, max_genus)):
             for jobs in (1, 2, 3, 5):
                 seed = max_genus * 100 + jobs * 10 + masks
-                shares = claimed_shares(max_genus, jobs, seed,
-                                         core._naturals(masks))
+                shares = claimed_shares(max_genus, depth, jobs, seed,
+                                        core._naturals(masks))
+                assert max(s.genus for share in shares
+                           for s in share) == depth
+                if depth < max_genus:
+                    shares = [folded(share, max_genus) for share in shares]
                 nodes = Counter(s.min_generators for share in shares
                                 for s in share)
-                assert nodes == whole, (max_genus, masks, jobs)
+                assert nodes == whole, (max_genus, masks, depth, jobs)
 
 
 def test_no_items_up_to_the_margin():
@@ -271,31 +406,49 @@ def test_no_items_up_to_the_margin():
 
 def test_each_unit_is_built_once(monkeypatch):
     # every share builds the expanded nodes, but a unit and its subtree
-    # only in the share that claimed it: J (E - 1) + (T - E) child steps in
-    # all, for E nodes of genus below G - 5 and T in the tree, however the
-    # shares interleave their claims
+    # only in the share that claimed it, and no share builds a leaf of a
+    # wilf campaign, which _tally folds: J (E - 1) + (T - E - L) nodes
+    # built and J (E - 1) + (T - E) child steps (core._added, the generator
+    # rule) in all, one more for each of the L leaves, for E nodes of
+    # genus below G - 5, L of genus G and T in the tree, however the shares
+    # interleave their claims
     calls = Counter()
-    step = campaign._remove_generator
+    build = campaign._remove_generator
+    step = core._added
 
-    def counted(s, a):
+    def built(s, a, *taken):
+        calls["leaf" if taken else "built"] += 1
+        return build(s, a, *taken)
+
+    def stepped(*args):
         calls["step"] += 1
-        return step(s, a)
+        return step(*args)
 
-    monkeypatch.setattr(campaign, "_remove_generator", counted)
-    monkeypatch.setattr(tree, "_remove_generator", counted)
+    monkeypatch.setattr(campaign, "_remove_generator", built)
+    monkeypatch.setattr(tree, "_remove_generator", built)
+    monkeypatch.setattr(core, "_added", stepped)
     for max_genus in (12, 16):
         genera = Counter(s.genus for s in tree.walk(max_genus))
         whole = sum(genera.values())
+        leaves = genera[max_genus]
         expanded = sum(n for g, n in genera.items()
                        if g < max_genus - campaign.UNIT_MARGIN)
         for jobs in (2, 3):
             for seed in range(3):
                 calls.clear()
-                shares = claimed_shares(max_genus, jobs, seed)
-                assert sum(map(len, shares)) == whole
+                shares = claimed_shares(max_genus, max_genus - 1, jobs,
+                                        seed)
+                assert sum(map(len, shares)) == whole - leaves
+                assert calls["built"] == (jobs * (expanded - 1) + whole
+                                          - expanded - leaves), (
+                    max_genus, jobs, seed)
+                parts = [campaign._tally(share, max_genus, ("wilf",))
+                         for share in shares]
+                assert sum(sum(part[0]) for part in parts) == whole
                 assert calls["step"] == (jobs * (expanded - 1)
                                          + whole - expanded), (max_genus,
                                                                jobs, seed)
+                assert calls["leaf"] == 0
 
 
 def test_unseen_domain_key_is_planned(monkeypatch):
@@ -359,7 +512,7 @@ def test_refined_frontier_failures_merge(monkeypatch):
         if row.name == "type":
             monkeypatch.setattr(row, "holds", lambda s: False)
     # three shares that take turns claiming each find failing nodes
-    for share in claimed_shares(16, 3, 0):
+    for share in claimed_shares(16, 15, 3, 0):
         assert any(s.min_generators[-1] == 2 * s.genus + 1
                    for s in share if not s.is_trivial)
     one = campaign.run_campaign(16, ["type"], 1)
@@ -400,7 +553,7 @@ def test_pool_capped_by_the_cpus(monkeypatch):
         genera.append(child.genus)
         return child
 
-    monkeypatch.setattr(campaign, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(tree, "walk", counted)
     monkeypatch.setattr(tree, "_remove_generator", recorded)
     monkeypatch.setattr(campaign, "_remove_generator", recorded)
@@ -535,8 +688,8 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
     real = core._remove_generator
     carried = Counter()
 
-    def recorded(s, a):
-        t = real(s, a)
+    def recorded(s, a, *step):
+        t = real(s, a, *step)
         carried[t._mirrored_pf_bits is not None] += 1
         return t
 

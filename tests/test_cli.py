@@ -825,10 +825,12 @@ def test_import_builds_no_parser():
 
 
 def test_import_loads_no_pool_machinery():
-    # a shared campaign's pool and block counter load ctypes and the pool
-    # modules, a few ms each process; importing the CLI loads none of them
+    # a shared campaign's pool and block counter load multiprocessing,
+    # ctypes and the pool modules, a few ms each process; importing the
+    # CLI loads none of them
     script = ("import sys, numsgp.cli\n"
-              "print(*sorted({'ctypes', 'multiprocessing.pool',\n"
+              "print(*sorted({'ctypes', 'multiprocessing',\n"
+              "               'multiprocessing.pool',\n"
               "               'multiprocessing.sharedctypes'} & set(sys.modules)))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -354,7 +354,9 @@ def _assert_carried_masks(s):
 def test_carried_masks_match_recomputed_ones():
     # the child step's mirrored PF recurrence on every nontrivial node of
     # a walk with masks to genus 16, as the campaign walks it in one
-    # process and shared by 2 or 3 pool workers claiming blocks in turn
+    # process and shared by 2 or 3 pool workers claiming blocks in turn (a
+    # selection that reads the mask builds every leaf, so it walks to the
+    # bound)
     def check(nodes):
         count = 0
         for s in nodes:
@@ -365,7 +367,7 @@ def test_carried_masks_match_recomputed_ones():
 
     check(tree.walk(16, _naturals(masks=True)))
     for jobs in (2, 3):
-        check(s for share in claimed_shares(16, jobs, jobs,
+        check(s for share in claimed_shares(16, 16, jobs, jobs,
                                              _naturals(masks=True))
               for s in share)
     # the ordinary step a = m, from the root, <2, 3>, ..., to m = 64

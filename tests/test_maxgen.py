@@ -234,6 +234,22 @@ def test_wilf_report_forms_agree():
         assert r["holds"] == (r["margin"] >= 0)
 
 
+def test_inequality_chain_reads_the_partner_scalars():
+    # the symmetric form reads g', m' and e' of S - {a_e} off the child
+    # step's generator rule; on every max-generated node with e > 2 of
+    # genus <= 16 it equals the bound on the built partner
+    checked = 0
+    for s in tree.walk(16):
+        if (s.is_trivial or s.embedding_dimension <= 2
+                or not maxgen.is_max_generated(s)):
+            continue
+        sp = maxgen.to_symmetric(s)
+        assert maxgen.maxgen_inequality_chain(s)["symmetric_form_holds"] \
+            == maxgen.genus_lower_bound_check(sp), s
+        checked += 1
+    assert checked == 485
+
+
 def test_inequality_chain():
     r = maxgen.maxgen_inequality_chain(S(3, 5, 7))
     assert (r["mult_form_holds"] and r["symmetric_form_holds"]
