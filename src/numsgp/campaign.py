@@ -1,37 +1,35 @@
 """Exhaustive verification campaigns over the genus tree.
 
 A campaign walks every numerical semigroup up to a genus bound G and runs
-a selection of named checks on each node.  It is one fold: _tally counts
-the nodes of a walk by genus and runs the checks on each, the rows with a
-scalar verdict on the node's scalars, read once.  Unless a selected row
-reads every node (properties.folds), the walk stops at genus G - 1 and
-_tally folds the last level into its parents: for each node of genus
-G - 1, core._leaves takes every child step and derives the child's
-multiplicity, embedding dimension and largest generator without building
-the child, and the leaf is counted under the domain key
-properties.scalar_domains gives it and checked on those scalars.  A leaf
-is built, from the step already taken, only when a row of its key reads
-the node, or when a row fails, as the witness is the minimal generators.
-So a selection of scalar rows, wilf among them, builds no leaf, and one
-with apery_reflected_gaps or canonical_gens, all among them, walks to G
-as before.  _depth says where a walk stops.  The parts are summed
-column-wise once and the failures sorted, so the report is byte-identical
-for any worker count; failures carry the minimal generator list of the
-offending semigroup as a witness.
+a selection of named checks on each node.  It is one fold: _tally walks
+each of its subtrees depth first on plain values, a stack of (minimal
+generators, c, gap mask, mirror, mirrored PF mask) tuples that
+core._child, the child step, extends, and reads each node's g, c, m, e
+and a_e off its tuple.  It keys the node by properties.scalar_domains,
+counts it by genus under that key and runs the key's rows that have a
+scalar verdict on those scalars.  It builds the node as a Semigroup only
+when a row of its key reads the node, so every level is walked alike: a
+selection of scalar rows, wilf among them, builds no node at any genus,
+and one with apery_reflected_gaps or canonical_gens, all among them,
+builds every node.  The parts are summed column-wise once and the
+failures sorted, so the report is byte-identical for any worker count;
+failures carry the minimal generator list of the offending semigroup as
+a witness, which the tuple holds.
 
-One worker tallies tree.walk in this process.  More workers, min(jobs,
-CPUs, items) of them, share the tree.  The frontier rule is _items's: the
-items are the nodes of genus below G - UNIT_MARGIN, each alone, and the
-nodes of genus G - UNIT_MARGIN with their subtrees, in walk order, so the
-biggest subtrees tend to come first; a bound of UNIT_MARGIN or less has no
-items and runs in this process.  Every worker walks the nodes above the
-units and numbers the items as it goes, and walks each unit it tallies as
-deep as a walk in this process goes.  Whenever it passes the end of its
-current block it claims the next block of BLOCK consecutive items from a
-counter the pool shares, and it tallies only the items of the blocks it
-claimed.  A worker that finishes early claims more, so none sits idle while
-another has a block left to start, and only integers cross the pool.  A
-campaign in this process imports none of multiprocessing.
+One worker tallies the whole tree in this process.  More workers,
+min(jobs, CPUs, items) of them, share the tree.  The frontier rule is
+_items's: the items are the nodes of genus below G - UNIT_MARGIN, each
+alone, and the nodes of genus G - UNIT_MARGIN with their subtrees, in walk
+order, so the biggest subtrees tend to come first; a bound of UNIT_MARGIN
+or less has no items and runs in this process.  Every worker walks the
+nodes above the units and numbers the items as it goes.  Whenever it
+passes the end of its current block it claims the next block of BLOCK
+consecutive items from a counter the pool shares, and it tallies only the
+items of the blocks it claimed, a node above the units alone and a unit
+with its subtree to G.  A worker that finishes early claims more, so none
+sits idle while another has a block left to start, and only integers
+cross the pool.  A campaign in this process imports none of
+multiprocessing.
 
 The checks themselves are the rows of :mod:`numsgp.properties`, which
 also reads run_campaign's selection of names.  Every walk of a campaign
@@ -49,10 +47,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import tree
-from .core import _leaves, _remove_generator
+from .core import Semigroup, _child, _remove_generator
 from .errors import BoundTooLarge
-from .properties import (MAXGEN, SYMMETRIC, TRIVIAL, count_failures, domains,
-                         folds, plan, resolve, root, scalar_domains)
+from .properties import (MAXGEN, SYMMETRIC, TRIVIAL, count_failures, plan,
+                         resolve, root, scalar_domains)
 
 #: The units of a shared campaign are the nodes this far above the bound.
 UNIT_MARGIN = 5
@@ -112,68 +110,61 @@ class CampaignReport:
         return json.dumps(self.to_json_dict(include_wall_time), indent=2)
 
 
-def _tally(nodes, max_genus: int, names: tuple[str, ...]) -> tuple:
-    """Tally the semigroups of genus <= max_genus that nodes, a walk to
-    genus _depth(max_genus, names), reaches, with the last level folded
-    when the walk stops short of it, as the module docstring says, and run
-    the checks of names that apply to each.
+def _tally(units, max_genus: int, names: tuple[str, ...]) -> tuple:
+    """Tally the semigroups of genus <= max_genus in units, (start, depth)
+    pairs, each the subtree of the Semigroup start to genus depth, walked
+    on plain values as the module docstring says, and run the checks of
+    names that apply to each.
 
     Returns (counts, mg, sym, checked, failures): the per-genus counts of
     all nodes, of the a_e = 2g + 1 ones and of the symmetric ones; how many
     row evaluations each of names had, one per applicable node and row; and
     (position in names, witness) pairs.  Each domain key is planned when a
-    node or leaf first has it, to the rows that apply to it, and its entry
-    counts the nodes with that key by genus.  The columns are summed from
-    those counts by flag, so the trivial semigroup, whose key is TRIVIAL,
-    is counted in both mg (1 = 2*0 + 1) and sym (F + 1 = 0 = 2g); checked
-    is summed from them by plan, each row of a key's plan once per node.
+    node first has it, to the rows that apply to it, and its entry counts
+    the nodes with that key by genus.  The columns are summed from those
+    counts by flag, so the trivial semigroup, whose key is TRIVIAL, is
+    counted in both mg (1 = 2*0 + 1) and sym (F + 1 = 0 = 2g); checked is
+    summed from them by plan, each row of a key's plan once per node.
     """
     plans = {}
     failures: list = []
-    # the genus of the nodes whose children are folded, if the walk stops
-    # short of max_genus
-    last = max_genus - 1 if _depth(max_genus, names) < max_genus else -1
-    for s in nodes:
-        key = domains(s)
-        try:
-            scalars, reads, census = plans[key]
-        except KeyError:
-            scalars, reads, census = plans[key] = _plan(names, key, max_genus)
-        g = s.genus
-        census[g] += 1
-        if scalars:
-            gens = s.min_generators
-            c = s.conductor
+    keyed, child, node = scalar_domains, _child, Semigroup
+    for start, depth in units:
+        stack = [(start.min_generators, start.conductor, start.gap_mask,
+                  start.mirror, start._mirrored_pf_bits)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            gens, c, gaps, mirror, pf = pop()
+            g = gaps.bit_count()
             m = gens[0]
-            e = len(gens)
             ae = gens[-1]
-            for i, scalar in scalars:
-                if not scalar(g, c, m, e, ae):
-                    failures.append((i, gens))
-        for i, holds in reads:
-            if not holds(s):
-                failures.append((i, s.min_generators))
-        if g != last:
-            continue
-        for a, step, m, e, ae in _leaves(s):
-            c = a + 1
-            key = scalar_domains(max_genus, c, m, ae)
+            key = keyed(g, c, m, ae)
             try:
                 scalars, reads, census = plans[key]
             except KeyError:
                 scalars, reads, census = plans[key] = _plan(names, key,
                                                             max_genus)
-            census[max_genus] += 1
-            t = None
+            census[g] += 1
+            if scalars:
+                e = len(gens)
+                for i, scalar in scalars:
+                    if not scalar(g, c, m, e, ae):
+                        failures.append((i, gens))
             if reads:
-                t = _remove_generator(s, a, step)
+                s = node(gens, c, gaps, mirror)
+                s._mirrored_pf_bits = pf
                 for i, holds in reads:
-                    if not holds(t):
-                        failures.append((i, t.min_generators))
-            for i, scalar in scalars:
-                if not scalar(max_genus, c, m, e, ae):
-                    t = t or _remove_generator(s, a, step)
-                    failures.append((i, t.min_generators))
+                    if not holds(s):
+                        failures.append((i, gens))
+            if g < depth:
+                f = c - 1
+                k = len(gens)
+                for a in reversed(gens):
+                    k -= 1
+                    if a <= f:
+                        break
+                    push(child(gens, k, f, gaps, mirror, pf, a))
     columns = ([sum(c[g] for key, (_, _, c) in plans.items() if key & flags)
                 for g in range(max_genus + 1)]
                for flags in (~0, TRIVIAL | MAXGEN, TRIVIAL | SYMMETRIC))
@@ -188,13 +179,6 @@ def _plan(names: tuple[str, ...], key: int, max_genus: int) -> tuple:
     """The entry of _tally for domain key: properties.plan()'s (scalars,
     reads), and the count by genus of the nodes with the key."""
     return (*plan(names, key), [0] * (max_genus + 1))
-
-
-def _depth(max_genus: int, names: tuple[str, ...]) -> int:
-    """The genus a campaign's walks stop at: max_genus - 1, whose nodes
-    _tally folds, when properties.folds(names) and max_genus > 0, and
-    max_genus otherwise."""
-    return max_genus - 1 if max_genus and folds(names) else max_genus
 
 
 def _items(max_genus: int, start=None):
@@ -212,13 +196,13 @@ def _items(max_genus: int, start=None):
                     yield s, a
 
 
-def _share(max_genus: int, depth: int, claim, start=None):
-    """The nodes of one share of the genus tree up to genus depth (see
-    _depth) from the root start, with the frontier of the bound max_genus:
-    the items of the blocks it claims, each unit built and walked only
-    here.  claim() returns the number of the next block no share has
-    claimed; block b holds the items numbered b * BLOCK to
-    b * BLOCK + BLOCK - 1."""
+def _share(max_genus: int, claim, start=None):
+    """One share of the genus tree up to max_genus from the root start, as
+    _tally's (start, depth) pairs: the items of the blocks it claims, each
+    node above the units alone, as (s, s.genus), and each unit, built only
+    here, with its subtree, as (unit, max_genus).  claim() returns the
+    number of the next block no share has claimed; block b holds the items
+    numbered b * BLOCK to b * BLOCK + BLOCK - 1."""
     first = end = 0
     for n, (s, a) in enumerate(_items(max_genus, start)):
         if n == end:
@@ -227,9 +211,9 @@ def _share(max_genus: int, depth: int, claim, start=None):
         if n < first:
             continue
         if a is None:
-            yield s
+            yield s, s.genus
         else:
-            yield from tree.walk(depth, _remove_generator(s, a))
+            yield _remove_generator(s, a), max_genus
 
 
 def _claim() -> int:
@@ -252,8 +236,7 @@ def _worker(max_genus: int, names: tuple[str, ...]) -> tuple:
     """The tally of one pool worker's share.  Pool workers get the property
     names, not the plan: pickling the plan's functions costs more than
     building it."""
-    return _tally(_share(max_genus, _depth(max_genus, names), _claim,
-                         root(names)), max_genus, names)
+    return _tally(_share(max_genus, _claim, root(names)), max_genus, names)
 
 
 def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignReport:
@@ -277,8 +260,7 @@ def run_campaign(max_genus: int, properties="all", jobs: int = 1) -> CampaignRep
     if workers > 1:
         workers = sum(1 for _ in islice(_items(max_genus, start), workers))
     if workers <= 1:
-        parts = [_tally(tree.walk(_depth(max_genus, names), start),
-                        max_genus, names)]
+        parts = [_tally([(start, max_genus)], max_genus, names)]
     else:
         # a campaign in this process needs none of multiprocessing
         from multiprocessing import Pool, Value

@@ -52,19 +52,18 @@ The genus tree has two steps, each computed by its generator rule
 (Rosales & Garcia-Sanchez, Numerical Semigroups, Springer 2009; Fromentin &
 Hivert, Math. Comp. 2016):
 
-- child, S minus a minimal generator a > F (_remove_generator): a = m only
+- child, S minus a minimal generator a > F (_child): a = m only
   on S = {0} union [m, oo), whose child is <m + 1, ..., 2m + 1>; otherwise
   G minus {a}, plus a + m unless it is a sum of two positive members of
   the child; a + m is the largest, as G lies in Ap(S, m) union {m}, <= F + m;
 - parent, S union {F} (_add_frobenius): the generators are {F} union G
   minus {F + m, 2F}.
 
-_added() holds the child step's generator rule and its minimality test,
-once.  _remove_generator() builds the child with it, and _leaves() reads
-each child's multiplicity, embedding dimension and largest generator off
-it without building the child, which is how a campaign checks the last
-level of its walk (numsgp.campaign); a leaf the campaign must build is
-built from the masks and generators _leaves has computed.
+_child() holds the child step once, on plain values: the generators, c,
+the two gap masks and the carried PF mask in, the same five of the child
+out.  _remove_generator() wraps it for a Semigroup, which is how tree.walk
+takes the step, and a campaign walks its subtrees on the plain values and
+builds a Semigroup only for a row that reads the node (numsgp.campaign).
 
 Each step carries the mirror with one shift.  The child's new gap a = c' - 1
 lands on bit 0 and every old gap moves up by c' - c.  The parent's gaps sit
@@ -461,90 +460,55 @@ def _from_apery(apery: list[int], min_gens: tuple, cap: int) -> Semigroup:
     return s
 
 
-def _added(gaps: int, mirror: int, m: int, a: int) -> tuple:
-    """The generator rule of the child step: the minimal generators that
-    T = S minus {a}, for a minimal generator a > F(S), adds to those of S
-    but a, which all stay minimal.  gaps and mirror are T's gap mask and
-    mirror, and m = m(S).
-
-    As a > F, a = m only on the ordinary S = {0} union [m, oo), F = m - 1,
-    generated by m, ..., 2m - 1, whose child {0} union [m + 1, oo) is
-    generated by m + 1, ..., 2m + 1, so T adds 2m and 2m + 1 (the root,
-    m = 1, gives <2, 3>).  Otherwise a new generator is a + v for a
-    positive v in S, at most F' + m' = a + m, so v = m: T adds t = a + m
-    when t is minimal, and nothing else.  t exceeds every generator of S,
-    as those other than m lie in Ap(S, m), whose largest entry is F + m,
-    so it goes last.  It is minimal iff every u in [1, t) is a gap of T or
-    has t - u a gap: T's mirror shifted by t - a = m has bit t - n set iff
-    n is a gap.  The test reads bits 1 to t - 1 only.
-    """
-    if a == m:
-        return 2 * m, 2 * m + 1
-    t = a + m
-    below = (1 << t) - 2
-    if (gaps | (mirror << m)) & below == below:
-        return (t,)
-    return ()
-
-
-def _remove_generator(s: Semigroup, a: int, step: tuple | None = None
-                      ) -> Semigroup:
-    """S without one minimal generator a, for a > F(S): the child step.
+def _child(gens: tuple, k: int, f: int, gaps: int, mirror: int, pf,
+           a: int) -> tuple:
+    """The child step on plain values: S minus {a}, for the minimal
+    generator a = gens[k] > f = F(S), given S's minimal generators gens,
+    gap mask, mirror and carried mirrored PF mask pf (None when S carries
+    none).  Returns the child's (gens, c, gaps, mirror, pf).
 
     The child has conductor a + 1 and its gap mask gains a, so g' = g + 1
-    and F' = a; its mirror is S's shifted by c' - c with the new gap a on
-    bit 0.  Its minimal generators are those of S but a, then _added's.
-    step is (gaps, mirror, added) of this child when the caller has
-    computed them already, as _leaves does, so they are not computed
-    twice.  A parent that carries the mirrored PF mask hands it down, by
-    the recurrence in the module docstring.
+    and F' = a; its mirror is S's shifted by c' - c = a - f with the new
+    gap a on bit 0, and its PF mask follows by the recurrence in the module
+    docstring.  Its minimal generators are those of S but a, which all stay
+    minimal, then the ones T = S minus {a} adds.  As a > F, a = m only on
+    the ordinary S = {0} union [m, oo), F = m - 1, generated by m, ...,
+    2m - 1, whose child {0} union [m + 1, oo) is generated by m + 1, ...,
+    2m + 1, so T adds 2m and 2m + 1 (the root, m = 1, gives <2, 3>).
+    Otherwise a new generator is a + v for a positive v in S, at most
+    F' + m' = a + m, so v = m: T adds t = a + m when t is minimal, and
+    nothing else.  t exceeds every generator of S, as those other than m
+    lie in Ap(S, m), whose largest entry is F + m, so it goes last.  It is
+    minimal iff every u in [1, t) is a gap of T or has t - u a gap: T's
+    mirror shifted by t - a = m has bit t - n set iff n is a gap.  The test
+    reads bits 1 to t - 1 only.
     """
-    c = s.conductor
-    if step is None:
-        gaps = s.gap_mask | (1 << a)
-        mirror = (s.mirror << (a + 1 - c)) | 1
-        added = _added(gaps, mirror, s.multiplicity, a)
-    else:
-        gaps, mirror, added = step
-    gens = s.min_generators
-    i = gens.index(a)
-    child = Semigroup(gens[:i] + gens[i + 1:] + added, a + 1, gaps, mirror)
-    pf = s._mirrored_pf_bits
+    shift = a - f
+    gaps |= 1 << a
+    mirror = (mirror << shift) | 1
     if pf is not None:
-        child._mirrored_pf_bits = ((pf << (a + 1 - c)) & gaps) | 1
-    return child
-
-
-def _leaves(s: Semigroup):
-    """The children S minus {a} of S, a descending, without building them:
-    (a, step, m', e', a_e') for each, with step the child's (gaps, mirror,
-    added) for _remove_generator, and m', e' and a_e' its multiplicity,
-    embedding dimension and largest minimal generator.
-
-    The masks are _remove_generator's, and the child has the minimal
-    generators of S but a and then added (_added): so m' = m + 1 when
-    a = m, and m otherwise; e' = e - 1 + #added; and a_e' is the last
-    added generator, or else the largest generator of S, or its second
-    largest when a is the largest.
-    """
-    gens = s.min_generators
-    f = s.frobenius
-    gap_mask = s.gap_mask
-    mirror = s.mirror
+        pf = ((pf << shift) & gaps) | 1
     m = gens[0]
-    e = len(gens) - 1
-    top = gens[-1]
-    for a in reversed(gens):
-        if a <= f:
-            break
-        gaps = gap_mask | (1 << a)
-        shifted = (mirror << (a - f)) | 1
-        added = _added(gaps, shifted, m, a)
-        step = gaps, shifted, added
-        if added:
-            yield a, step, m + 1 if a == m else m, e + len(added), added[-1]
-        else:
-            yield a, step, m, e, gens[-2] if a == top else top
+    if a == m:
+        added = (2 * m, 2 * m + 1)
+    else:
+        t = a + m
+        below = (1 << t) - 2
+        added = (t,) if (gaps | (mirror << m)) & below == below else ()
+    return gens[:k] + gens[k + 1:] + added, a + 1, gaps, mirror, pf
+
+
+def _remove_generator(s: Semigroup, a: int) -> Semigroup:
+    """S without one minimal generator a, for a > F(S): the child step
+    (_child) on a Semigroup, which hands down the mirrored PF mask when S
+    carries it."""
+    gens = s.min_generators
+    gens, c, gaps, mirror, pf = _child(gens, gens.index(a), s.frobenius,
+                                       s.gap_mask, s.mirror,
+                                       s._mirrored_pf_bits, a)
+    child = Semigroup(gens, c, gaps, mirror)
+    child._mirrored_pf_bits = pf
+    return child
 
 
 def _add_frobenius(s: Semigroup) -> Semigroup:

@@ -195,7 +195,7 @@ def pf_formula_check(s: Semigroup) -> bool:
 def _wilf_form(g: int, c: int, m: int, e: int, ae: int) -> bool:
     """Wilf's inequality g e <= (e - 1)(F + 1) on the genus g, conductor
     c = F + 1, multiplicity m, embedding dimension e and largest generator
-    a_e of a nontrivial semigroup, the scalars a campaign's leaf has."""
+    a_e of a nontrivial semigroup, the scalars a campaign reads off a node."""
     return g * e <= (e - 1) * c
 
 
@@ -241,10 +241,11 @@ def maxgen_inequality_chain(s: Semigroup) -> dict:
     if e <= 2:
         raise EmbeddingDimTooSmall(
             "inequality chain needs e > 2, got e = %d" % e)
-    # S - {a_e} has genus g + 1, and its m' and e' come from the generator
-    # rule without building it: it is the first leaf, as a_e > F is the
-    # largest generator
-    _, _, m_sym, e_sym, _ = next(core._leaves(s))
+    # S - {a_e} has genus g + 1, and its m' and e' are read off the
+    # generators the child step gives it, without building it
+    sym_gens = core._child(gens, e - 1, s.frobenius, s.gap_mask, s.mirror,
+                           None, gens[-1])[0]
+    m_sym, e_sym = sym_gens[0], len(sym_gens)
     return {
         "mult_form_holds":
             (s.multiplicity - 2) * (e - 1) <= (e - 2) * s.genus,

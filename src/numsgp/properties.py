@@ -30,19 +30,17 @@ them when applies is 0.  M2 and INTERVAL mark the two special families,
 holds(s), and record(s) gives the `check` result fields less holds, with the
 provenance string that goes beside them.  Only this module reads the domains
 and the names: `check` has one entry, check(), campaigns use resolve(),
-root(), folds(), plan(), domains(), scalar_domains() and count_failures(),
-and lookup() reads every name, hyphens as underscores.  A row declares
-what its verdict reads.  A row with a scalar verdict reads only the
-scalars (g, c, m, e, a_e), and holds(s) calls it on the node's; those are
-wilf, wilf_equality, frobenius_formula, sym_generators and genus_bound.
-A campaign checks those rows on the scalars of each node and of each leaf
-of its walk, and builds a leaf only for the other rows, which read the
-node; domains(s) is scalar_domains() of the node's scalars, which keys a
-leaf too, and folds() says whether a selection leaves a leaf to check
-without building it.  A row marked reads_masks has a verdict that reads
-the mirrored PF mask, which root() then has the walk carry;
-canonical_gens is the one such row.  Records keep Fractions; the CLI
-encodes them.  Outside its domain a property is
+root(), plan(), scalar_domains() and count_failures(), and lookup() reads
+every name, hyphens as underscores.  A row declares what its verdict
+reads.  A row with a scalar verdict reads only the scalars (g, c, m, e,
+a_e), and holds(s) calls it on the node's; those are wilf,
+wilf_equality, frobenius_formula, sym_generators and genus_bound.  A
+campaign keys each node of its walk by scalar_domains() of its scalars,
+as domains(s) keys a Semigroup, checks those rows on the scalars, and
+builds the node only for the other rows, which read it.  A row marked
+reads_masks has a verdict that reads the mirrored PF mask, which root()
+then has the walk carry; canonical_gens is the one such row.  Records
+keep Fractions; the CLI encodes them.  Outside its domain a property is
 undefined; inside it but not applicable, it holds vacuously.
 correspondence has one row per side and one for the trivial semigroup,
 whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides
@@ -73,7 +71,7 @@ def domains(s: Semigroup) -> int:
 def scalar_domains(g: int, c: int, m: int, ae: int) -> int:
     """The domain flags of the semigroup of genus g, conductor c,
     multiplicity m and largest minimal generator a_e, which a campaign
-    reads off a leaf it does not build: c = 0 is TRIVIAL, and otherwise
+    reads off a node it need not build: c = 0 is TRIVIAL, and otherwise
     a_e = 2g+1 is MAXGEN, F+1 = 2g is SYMMETRIC, m = 2 is M2, F < m is
     INTERVAL.  As F >= m - 1 and the gap F is not the member m, INTERVAL
     is F = m - 1, and F_ABOVE_M is its complement."""
@@ -100,9 +98,8 @@ class Row:
     holds(s) is the verdict on a node.  A row built by _scalar_row has a
     scalar verdict: holds calls scalar, the same verdict on the scalars
     (g, c, m, e, a_e) of a nontrivial node, and carries it, so a campaign
-    calls scalar on the scalars it has read off a node or derived for a
-    leaf it does not build.  reads_masks marks a holds that reads the
-    mirrored PF mask.
+    calls scalar on the scalars it has read off a node it does not build.
+    reads_masks marks a holds that reads the mirrored PF mask.
     """
 
     name: str
@@ -373,15 +370,6 @@ def root(names: tuple) -> Semigroup:
     it, and a bare one otherwise, as carrying it costs each node a few
     big-int operations that only that row repays."""
     return core._naturals(any(r.reads_masks for r in ROWS if r.name in names))
-
-
-def folds(names: tuple) -> bool:
-    """Whether a campaign over the properties names can check a leaf of
-    its walk without building it: not when a row of names that reads the
-    node applies to every nontrivial semigroup, as apery_reflected_gaps
-    and canonical_gens do, for then every leaf is built."""
-    return not any(r.scalar is None and r.domain == ALL and not r.applies
-                   for r in ROWS if r.name in names)
 
 
 def plan(names: tuple, key: int) -> tuple:

@@ -44,25 +44,26 @@ MUTANTS = {
         "s.mirror << (top - c) == members",
         ["tests/test_core.py::test_carried_pf_mask_matches_subset_oracle",
          "tests/test_core.py::test_masks_of_a_built_semigroup[2,3]"]),
-    # the PF recurrence keeps p with a - p in S
+    # the PF recurrence keeps p with a - p in S: no & with the child's gaps
     "PF recurrence without its member filter": (
         "src/numsgp/core.py",
-        "child._mirrored_pf_bits = ((pf << (a + 1 - c)) & gaps) | 1",
-        "child._mirrored_pf_bits = (pf << (a + 1 - c)) | 1",
+        "pf = ((pf << shift) & gaps) | 1",
+        "pf = (pf << shift) | 1",
         ["tests/test_core.py::test_carried_masks_match_recomputed_ones",
-         "tests/test_core.py::test_carried_pf_mask_matches_subset_oracle"]),
+         "tests/test_core.py::test_carried_pf_mask_matches_subset_oracle",
+         "tests/test_campaign.py::test_verify_golden_report[16-all]"]),
     # a + m joins the generators exactly when it is not minimal
     "minimality test inverted": (
         "src/numsgp/core.py",
-        "& below == below:",
-        "& below != below:",
+        "& below == below else ()",
+        "& below != below else ()",
         ["tests/test_tree.py::test_children_examples",
          "tests/test_core.py::test_tree_steps_match_from_generators"]),
     # bits of the child's mirror at t and above enter the minimality test
     "minimality test without & below": (
         "src/numsgp/core.py",
-        "if (gaps | (mirror << m)) & below == below:",
-        "if gaps | (mirror << m) == below:",
+        "(gaps | (mirror << m)) & below == below",
+        "gaps | (mirror << m) == below",
         ["tests/test_campaign.py::test_broken_carried_mirror_is_caught"]),
     # the runs of gaps below each Apery entry doubled upwards
     "gap doubling shifted up": (
@@ -88,8 +89,8 @@ MUTANTS = {
     # the child step never adds the new generator a + m
     "a + m candidate dropped": (
         "src/numsgp/core.py",
-        "        return (t,)\n",
-        "        return ()\n",
+        "added = (t,) if",
+        "added = () if",
         ["tests/test_tree.py::test_children_examples",
          "tests/test_tree.py::test_counts_by_genus"]),
     "M2 and M_AT_LEAST_3 swapped": (
@@ -132,34 +133,29 @@ MUTANTS = {
         "",
         ["tests/test_campaign.py::"
          "test_broken_closed_gap_clause_is_caught[frobenius]"]),
-    # a folded leaf's e' one too many: <2, 2g + 1> misses Wilf equality
-    "leaf e' off by one": (
-        "src/numsgp/core.py",
-        "    e = len(gens) - 1\n",
-        "    e = len(gens)\n",
-        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
+    # the campaign walk removes the generator below a: k starts one low
+    "walk removes the wrong generator": (
+        "src/numsgp/campaign.py",
+        "k = len(gens)\n",
+        "k = len(gens) - 1\n",
+        ["tests/test_campaign.py::test_campaign_walk_matches_tree_walk",
          "tests/test_campaign.py::test_verify_golden_report["
          "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
          "genus_bound]"]),
-    # a folded leaf S - {a_e} with a_e + m not minimal keeps a_e as its
-    # largest generator, which is F: the symmetric ones fail sym_generators
-    "leaf a_e' without the second-largest branch": (
+    # the campaign walk expands the nodes at its depth too
+    "walk one genus past its depth": (
+        "src/numsgp/campaign.py",
+        "if g < depth:",
+        "if g <= depth:",
+        ["tests/test_campaign.py::test_campaign_walk_matches_tree_walk",
+         "tests/test_campaign.py::test_all_properties_pass_exhaustively"]),
+    # the child's mirror loses its new gap a, so a + m is never minimal
+    "child mirror without its new gap": (
         "src/numsgp/core.py",
-        "yield a, step, m, e, gens[-2] if a == top else top",
-        "yield a, step, m, e, top",
-        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
-         "tests/test_campaign.py::test_verify_golden_report["
-         "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
-         "genus_bound]"]),
-    # the folded child of an ordinary S = <m, ..., 2m - 1> keeps m
-    "leaf a = m case dropped": (
-        "src/numsgp/core.py",
-        "m + 1 if a == m else m",
-        "m",
-        ["tests/test_campaign.py::test_folded_leaves_match_built_children",
-         "tests/test_campaign.py::test_verify_golden_report["
-         "16-wilf,wilf_equality,frobenius_formula,sym_generators,"
-         "genus_bound]"]),
+        "mirror = (mirror << shift) | 1",
+        "mirror = mirror << shift",
+        ["tests/test_tree.py::test_children_examples",
+         "tests/test_core.py::test_tree_steps_match_from_generators"]),
     # Ap(S) minus {0, f + m} keeps f + m
     "f + m left in the Apery side": (
         "src/numsgp/maxgen.py",

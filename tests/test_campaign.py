@@ -219,144 +219,150 @@ def _frontier(max_genus):
     return above, units
 
 
-def claimed_shares(max_genus, depth, jobs, seed, start=None):
-    """The nodes of jobs shares of the tree up to genus depth, with the
-    frontier of the bound max_genus, that claim their blocks from one
-    counter, as pool workers do, each list in its share's order.  The
-    shares take turns one node at a time in an order drawn from
-    random.Random(seed)."""
+def claimed_shares(max_genus, jobs, seed, start=None):
+    """The (start, depth) pairs of jobs shares of the tree up to max_genus
+    that claim their blocks from one counter, as pool workers do, each list
+    in its share's order.  The shares take turns one pair at a time in an
+    order drawn from random.Random(seed)."""
     claim = count().__next__
-    shares = [campaign._share(max_genus, depth, claim, start)
-              for _ in range(jobs)]
-    nodes = [[] for _ in shares]
+    shares = [campaign._share(max_genus, claim, start) for _ in range(jobs)]
+    units = [[] for _ in shares]
     rng = random.Random(seed)
     live = list(range(jobs))
     while live:
         k = rng.choice(live)
         try:
-            nodes[k].append(next(shares[k]))
+            units[k].append(next(shares[k]))
         except StopIteration:
             live.remove(k)
+    return units
+
+
+def expanded(units):
+    """The nodes of (start, depth) pairs, as tree.walk reaches them."""
+    return [t for s, depth in units for t in tree.walk(depth, s)]
+
+
+def walked(units, max_genus):
+    """The nodes campaign._tally walks from (start, depth) pairs, each one
+    built by a plan that reads every node."""
+    nodes = []
+
+    def record(s):
+        nodes.append(s)
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(campaign, "plan", lambda names, key: ((), ((0, record),)))
+        campaign._tally(units, max_genus, ("wilf",))
     return nodes
 
 
-def folded(nodes, max_genus):
-    """The nodes, each followed, at genus max_genus - 1, by its children
-    built as campaign._tally builds a leaf, from core._leaves's steps."""
-    for s in nodes:
-        yield s
-        if s.genus == max_genus - 1:
-            for a, step, *_ in core._leaves(s):
-                yield core._remove_generator(s, a, step)
+def _fields(s):
+    return (s.min_generators, s.conductor, s.gap_mask, s.mirror,
+            s._mirrored_pf_bits)
 
 
-def test_folded_leaves_match_built_children():
-    # on every node of genus <= 16, core._leaves gives each child S - {a},
-    # a descending, and its scalars, which with g + 1 and c' = a + 1 key it
-    # and decide its scalar rows as the built child does, in each case of
-    # the generator rule: a = m, a the largest generator, and a + m not
-    # minimal
-    scalar_rows = [r for r in properties.ROWS if r.scalar is not None]
-    assert {r.name for r in scalar_rows} == {
-        "wilf", "wilf_equality", "frobenius_formula", "sym_generators",
-        "genus_bound"}
-    cases = Counter()
-    for s in tree.walk(16):
-        f = s.frobenius
-        gens = s.min_generators
-        leaves = list(core._leaves(s))
-        assert [a for a, *_ in leaves] == [a for a in reversed(gens)
-                                           if a > f]
-        for a, step, m, e, ae in leaves:
-            t = core._remove_generator(s, a)
-            g, c = s.genus + 1, a + 1
-            assert (t.genus, t.conductor, t.multiplicity,
-                    t.embedding_dimension, t.min_generators[-1]) == (
-                g, c, m, e, ae), (gens, a)
-            assert core._remove_generator(s, a, step).min_generators == \
-                t.min_generators
-            key = properties.scalar_domains(g, c, m, ae)
-            assert key == properties.domains(t), (gens, a)
-            for row in scalar_rows:
-                assert row.scalar(g, c, m, e, ae) == row.holds(t), (
-                    row.name, gens, a)
-            if a == s.multiplicity:
-                cases["a = m"] += 1
-            else:
-                cases[(a + s.multiplicity in t.min_generators,
-                       a == gens[-1])] += 1
-    # (a + m minimal, a = a_e); a_e' is the second largest generator of S
-    # in the case (False, True)
-    assert cases == {"a = m": 17, (True, True): 512, (True, False): 2464,
-                     (False, True): 7079, (False, False): 9742}, cases
+def test_campaign_walk_matches_tree_walk(monkeypatch):
+    # the plain-value walk of campaign._tally, in this process and shared
+    # by 2 or 3 pool workers claiming blocks in turn, reaches the nodes
+    # tree.walk reaches, each with the same generators, conductor, gap
+    # masks and carried PF mask, with masks and without; and a selection
+    # of scalar rows, which builds no node, keys the same scalars
+    for max_genus in (0, 1, 2, 6, 11, 16):
+        for masks in (False, True):
+            root = core._naturals(masks)
+            want = Counter(map(_fields, tree.walk(max_genus, root)))
+            got = walked([(root, max_genus)], max_genus)
+            assert Counter(map(_fields, got)) == want, (max_genus, masks)
+            if max_genus <= campaign.UNIT_MARGIN:
+                continue
+            for jobs in (2, 3):
+                shares = claimed_shares(max_genus, jobs, jobs + masks, root)
+                got = [s for share in shares
+                       for s in walked(share, max_genus)]
+                assert Counter(map(_fields, got)) == want, (max_genus, masks,
+                                                            jobs)
+    keyed = Counter()
+    real = properties.scalar_domains
+
+    def recorded(g, c, m, ae):
+        keyed[g, c, m, ae] += 1
+        return real(g, c, m, ae)
+
+    monkeypatch.setattr(campaign, "scalar_domains", recorded)
+    assert campaign.run_campaign(16, ["wilf"], 1).passed
+    assert keyed == Counter((s.genus, s.conductor, s.multiplicity,
+                             s.min_generators[-1]) for s in tree.walk(16))
 
 
 #: The rows that read the node on every nontrivial semigroup: a
-#: selection with one of them builds every leaf, so it does not fold.
+#: selection with one of them builds every node.
 EVERY_NODE_READERS = {"apery_reflected_gaps", "canonical_gens"}
 
 
-def test_fold_only_where_a_leaf_can_go_unbuilt(monkeypatch):
-    # a campaign walks to G - 1 and folds the leaves unless a selected row
-    # reads every node; in both cases the walk builds no node past it, only
-    # a folding campaign takes the leaves' steps in core._leaves, and it
-    # builds a leaf exactly when a selected row that reads the node applies
-    # to it
-    built, leaves = Counter(), Counter()
-    real_step, real_leaves = core._remove_generator, core._leaves
+def test_node_built_only_where_a_row_reads_it(monkeypatch):
+    # the walk builds a node as a Semigroup exactly where a selected row
+    # that reads the node applies to it, at every genus, in this process
+    # and in the shares of a pool: a selection of scalar rows builds none,
+    # and one with a row that reads every node builds them all
+    built = Counter()
 
-    def recorded(s, a):
-        t = real_step(s, a)
-        built[t.genus] += 1
-        return t
+    class Counted(core.Semigroup):
+        __slots__ = ()
 
-    def counted(s):
-        for leaf in real_leaves(s):
-            leaves["leaf"] += 1
-            yield leaf
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[self.genus] += 1
 
-    def folded_build(s, a, step):
-        leaves["built"] += 1
-        return real_step(s, a, step)
-
-    monkeypatch.setattr(tree, "_remove_generator", recorded)
-    monkeypatch.setattr(campaign, "_leaves", counted)
-    monkeypatch.setattr(campaign, "_remove_generator", folded_build)
-    keys = [properties.domains(t) for t in tree.walk(10) if t.genus == 10]
+    monkeypatch.setattr(campaign, "Semigroup", Counted)
+    nodes = list(tree.walk(10))
     selections = [(p,) for p in properties.PROPERTIES]
     selections += [(), ("wilf", "type"), ("wilf", "canonical_gens"),
                    properties.PROPERTIES]
     for names in selections:
-        fold = not EVERY_NODE_READERS.intersection(names)
-        assert properties.folds(names) == fold, names
-        assert campaign._depth(0, names) == 0
-        assert campaign._depth(10, names) == 10 - fold
         readers = [r for r in properties.ROWS
                    if r.name in names and r.scalar is None]
-        read = sum(1 for key in keys if any(
-            r.domain & key and (not r.applies or r.applies & key)
-            for r in readers))
+        want = Counter()
+        for s in nodes:
+            key = properties.domains(s)
+            if any(r.domain & key and (not r.applies or r.applies & key)
+                   for r in readers):
+                want[s.genus] += 1
         built.clear()
-        leaves.clear()
-        assert campaign.run_campaign(10, names, 1).passed
-        assert max(built) == 10 - fold, names
-        assert leaves["leaf"] == (204 if fold else 0), names
-        assert leaves["built"] == (read if fold else 0), names
+        rep = campaign.run_campaign(10, names, 1)
+        assert rep.passed
+        assert built == want, names
+        built.clear()
+        for share in claimed_shares(10, 2, 0, properties.root(names)):
+            campaign._tally(share, 10, names)
+        assert built == want, names
+        if not readers:
+            assert not want, names
+        if EVERY_NODE_READERS.intersection(names):
+            # every nontrivial node; the root too for correspondence
+            assert want - Counter([0]) == Counter(
+                s.genus for s in nodes if s.genus), names
         if names == ("type",):
-            assert read == 18
+            assert [want[g] for g in range(11)] == [
+                n - (g == 0) for g, n in enumerate(rep.maxgen_counts_by_genus)]
 
 
-def test_folded_leaf_failure_is_built_for_its_witness(monkeypatch):
-    # a scalar verdict that fails every leaf of genus 10: the campaign
-    # still folds them, and builds each one only for its witness, the
-    # leaf's minimal generators, in this process and in pool workers
+def test_scalar_failure_witness_builds_no_node(monkeypatch):
+    # a scalar verdict that fails every node of genus 10: the witnesses are
+    # the nodes' minimal generators, read off the walk without building a
+    # node, in this process and in pool workers
     fails_at_10 = properties._scalar_row(
         "wilf", properties.ALL, lambda g, c, m, e, ae: g != 10, None,
         None).holds
     for row in properties.ROWS:
         if row.name == "wilf":
             monkeypatch.setattr(row, "holds", fails_at_10)
-    assert properties.folds(("wilf",))
+
+    def refused(*args):
+        raise AssertionError("a scalar row built a node")
+
+    monkeypatch.setattr(campaign, "Semigroup", refused)
     want = sorted(t.min_generators for t in tree.walk(10) if t.genus == 10)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     forked = multiprocessing.get_start_method() == "fork"
@@ -367,12 +373,12 @@ def test_folded_leaf_failure_is_built_for_its_witness(monkeypatch):
 
 
 def test_shares_partition_the_tree():
-    # every node lands in exactly one share, or, when the shares stop at
-    # genus G - 1, among the leaves folded into one share's node of genus
-    # G - 1, however the shares interleave their claims, with carried
-    # masks or without; and the frontier depends on the genus bound alone:
-    # the units are the nodes of genus G - 5 and the items above them the
-    # nodes of lower genus, each listed once
+    # every node lands in exactly one share, a node above the units alone
+    # and a unit with its subtree to the bound, however the shares
+    # interleave their claims, with carried masks or without; and the
+    # frontier depends on the genus bound alone: the units are the nodes
+    # of genus G - 5 and the items above them the nodes of lower genus,
+    # each listed once
     for max_genus in range(6, 17):
         whole = Counter(s.min_generators for s in tree.walk(max_genus))
         deep = max_genus - campaign.UNIT_MARGIN
@@ -382,19 +388,18 @@ def test_shares_partition_the_tree():
         assert Counter(units) == Counter(s.min_generators for s in
                                          tree.walk(deep)
                                          if s.genus == deep), max_genus
-        for masks, depth in product((False, True),
-                                    (max_genus - 1, max_genus)):
+        for masks in (False, True):
             for jobs in (1, 2, 3, 5):
                 seed = max_genus * 100 + jobs * 10 + masks
-                shares = claimed_shares(max_genus, depth, jobs, seed,
+                shares = claimed_shares(max_genus, jobs, seed,
                                         core._naturals(masks))
-                assert max(s.genus for share in shares
-                           for s in share) == depth
-                if depth < max_genus:
-                    shares = [folded(share, max_genus) for share in shares]
+                for s, depth in (pair for share in shares for pair in share):
+                    assert depth == (max_genus if s.genus == deep
+                                     else s.genus), s
+                    assert (s._mirrored_pf_bits is not None) == masks
                 nodes = Counter(s.min_generators for share in shares
-                                for s in share)
-                assert nodes == whole, (max_genus, masks, depth, jobs)
+                                for s in expanded(share))
+                assert nodes == whole, (max_genus, masks, jobs)
 
 
 def test_no_items_up_to_the_margin():
@@ -405,50 +410,54 @@ def test_no_items_up_to_the_margin():
 
 
 def test_each_unit_is_built_once(monkeypatch):
-    # every share builds the expanded nodes, but a unit and its subtree
-    # only in the share that claimed it, and no share builds a leaf of a
-    # wilf campaign, which _tally folds: J (E - 1) + (T - E - L) nodes
-    # built and J (E - 1) + (T - E) child steps (core._added, the generator
-    # rule) in all, one more for each of the L leaves, for E nodes of
-    # genus below G - 5, L of genus G and T in the tree, however the shares
-    # interleave their claims
+    # every share builds the nodes above the units, but a unit only in the
+    # share that claimed it, and it walks the unit's subtree on plain
+    # values, with no node built for a wilf campaign: J (E - 1) + U
+    # Semigroups built and J (E - 1) + (T - E) child steps (core._child)
+    # in all, for E nodes of genus below G - 5, U of genus G - 5 and T in
+    # the tree, however the shares interleave their claims
     calls = Counter()
-    build = campaign._remove_generator
-    step = core._added
+    build = core._remove_generator
+    step = core._child
 
-    def built(s, a, *taken):
-        calls["leaf" if taken else "built"] += 1
-        return build(s, a, *taken)
+    def built(s, a):
+        calls["built"] += 1
+        return build(s, a)
 
     def stepped(*args):
         calls["step"] += 1
         return step(*args)
 
+    def node(*args):
+        calls["node"] += 1
+        return core.Semigroup(*args)
+
     monkeypatch.setattr(campaign, "_remove_generator", built)
     monkeypatch.setattr(tree, "_remove_generator", built)
-    monkeypatch.setattr(core, "_added", stepped)
+    monkeypatch.setattr(core, "_child", stepped)
+    monkeypatch.setattr(campaign, "_child", stepped)
+    monkeypatch.setattr(campaign, "Semigroup", node)
     for max_genus in (12, 16):
         genera = Counter(s.genus for s in tree.walk(max_genus))
         whole = sum(genera.values())
-        leaves = genera[max_genus]
+        units = genera[max_genus - campaign.UNIT_MARGIN]
         expanded = sum(n for g, n in genera.items()
                        if g < max_genus - campaign.UNIT_MARGIN)
         for jobs in (2, 3):
             for seed in range(3):
                 calls.clear()
-                shares = claimed_shares(max_genus, max_genus - 1, jobs,
-                                        seed)
-                assert sum(map(len, shares)) == whole - leaves
-                assert calls["built"] == (jobs * (expanded - 1) + whole
-                                          - expanded - leaves), (
-                    max_genus, jobs, seed)
+                shares = claimed_shares(max_genus, jobs, seed)
+                assert sum(map(len, shares)) == expanded + units
+                assert calls["built"] == (jobs * (expanded - 1)
+                                          + units), (max_genus, jobs, seed)
                 parts = [campaign._tally(share, max_genus, ("wilf",))
                          for share in shares]
                 assert sum(sum(part[0]) for part in parts) == whole
                 assert calls["step"] == (jobs * (expanded - 1)
                                          + whole - expanded), (max_genus,
                                                                jobs, seed)
-                assert calls["leaf"] == 0
+                assert calls["built"] == jobs * (expanded - 1) + units
+                assert calls["node"] == 0
 
 
 def test_unseen_domain_key_is_planned(monkeypatch):
@@ -457,32 +466,37 @@ def test_unseen_domain_key_is_planned(monkeypatch):
     assert not any((row.domain | row.applies) & 1 << 16
                    for row in properties.ROWS)
     want = campaign.run_campaign(10, "all", 1).to_json(include_wall_time=False)
-    real = campaign.domains
+    real = properties.scalar_domains
 
-    def with_unused_flag(s):
-        key = real(s)
+    def with_unused_flag(g, c, m, ae):
+        key = real(g, c, m, ae)
         return key if key == properties.TRIVIAL else key | 1 << 16
 
-    monkeypatch.setattr(campaign, "domains", with_unused_flag)
+    monkeypatch.setattr(campaign, "scalar_domains", with_unused_flag)
     got = campaign.run_campaign(10, "all", 1).to_json(include_wall_time=False)
     assert got == want
 
 
+def unsymmetric_3_5(g, c, m, ae):
+    """properties.scalar_domains with <3, 5> left out of SYMMETRIC."""
+    key = properties.scalar_domains(g, c, m, ae)
+    if (g, c, m, ae) == (4, 8, 3, 5):
+        return key & ~properties.SYMMETRIC
+    return key
+
+
 def test_broken_count_identity_filed_under_correspondence(monkeypatch):
     # <3, 5> (genus 4) left out of the symmetric tally breaks the count
-    # identity at genus 3; the witness is the genus, under correspondence
-    real = campaign.domains
-
-    def unsymmetric_3_5(s):
-        key = real(s)
-        if s.min_generators == (3, 5):
-            return key & ~properties.SYMMETRIC
-        return key
-
-    monkeypatch.setattr(campaign, "domains", unsymmetric_3_5)
-    rep = campaign.run_campaign(8, ["wilf", "correspondence"], 1)
-    assert rep.property_failures == (("correspondence", (3,)),)
-    assert campaign.run_campaign(8, ["wilf"], 1).passed
+    # identity at genus 3; the witness is the genus, under correspondence,
+    # in this process and from pool workers.  (g, c, m, a_e) = (4, 8, 3, 5)
+    # is <3, 5> alone: m = 3 and a_e = 5 leave <3, 4>, <3, 5> and <3, 4, 5>
+    monkeypatch.setattr(campaign, "scalar_domains", unsymmetric_3_5)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    forked = multiprocessing.get_start_method() == "fork"
+    for jobs in (1, 2) if forked else (1,):
+        rep = campaign.run_campaign(8, ["wilf", "correspondence"], jobs)
+        assert rep.property_failures == (("correspondence", (3,)),), jobs
+        assert campaign.run_campaign(8, ["wilf"], jobs).passed
 
 
 def test_frontier_deepens_with_the_bound():
@@ -512,9 +526,9 @@ def test_refined_frontier_failures_merge(monkeypatch):
         if row.name == "type":
             monkeypatch.setattr(row, "holds", lambda s: False)
     # three shares that take turns claiming each find failing nodes
-    for share in claimed_shares(16, 15, 3, 0):
+    for share in claimed_shares(16, 3, 0):
         assert any(s.min_generators[-1] == 2 * s.genus + 1
-                   for s in share if not s.is_trivial)
+                   for s in expanded(share) if not s.is_trivial)
     one = campaign.run_campaign(16, ["type"], 1)
     three = campaign.run_campaign(16, ["type"], 3)
     assert len(one.property_failures) == dict(one.checked)["type"]
@@ -630,21 +644,34 @@ def test_broken_rg_mask_is_caught(monkeypatch):
     assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 
+def _patch_step(monkeypatch, fault):
+    """Put fault(real, *args) in place of the child step core._child, in
+    tree.walk and the units that it and _remove_generator build, and in
+    the campaign walk; a pool forked after this inherits it."""
+    real = core._child
+
+    def step(*args):
+        return fault(real, *args)
+
+    monkeypatch.setattr(core, "_child", step)
+    monkeypatch.setattr(campaign, "_child", step)
+
+
 def test_broken_carried_mirror_is_caught(monkeypatch):
     # a child step that marks 0 as a gap in the mirror it carries: the
     # canonical_gens verdict checks the mirror-read offsets against the
-    # carried PF mask, which the child step builds from the gap mask
-    real = core._remove_generator
+    # carried PF mask, which the child step builds from the gap mask, in
+    # this process and in pool workers
+    def zero_as_gap(real, *args):
+        gens, c, gaps, mirror, pf = real(*args)
+        return gens, c, gaps, mirror | 1 << (c - 1), pf
 
-    def zero_as_gap(s, a):
-        t = real(s, a)
-        return core.Semigroup(t.min_generators, t.conductor, t.gap_mask,
-                              t.mirror | 1 << (t.conductor - 1))
-
-    monkeypatch.setattr(tree, "_remove_generator", zero_as_gap)
-    rep = campaign.run_campaign(10, ["canonical_gens"], jobs=1)
-    assert not rep.passed
-    witnesses = _failed(rep, "canonical_gens")
+    _patch_step(monkeypatch, zero_as_gap)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    reports = [campaign.run_campaign(10, ["canonical_gens"], jobs)
+               for jobs in (1, 2)]
+    assert reports[0].property_failures == reports[1].property_failures
+    witnesses = _failed(reports[0], "canonical_gens")
     assert witnesses and all(len(w) >= 2 for w in witnesses)
 
 
@@ -656,19 +683,15 @@ def test_broken_carried_mask_is_caught(prop, monkeypatch):
     # Apery element, where maxgen looks it up.  The row's independent
     # side, the mirror-read canonical offsets or RG(F) + m, catches it in
     # this process and in pool workers alike
-    real = core._remove_generator
-
-    def corrupted(s, a):
-        t = real(s, a)
-        t._mirrored_pf_bits |= 1 << t.frobenius
-        return t
+    def corrupted(real, *args):
+        gens, c, gaps, mirror, pf = real(*args)
+        return gens, c, gaps, mirror, pf | 1 << (c - 1)
 
     def apery_mask(s):
         return core._apery_mask(s) | 1 << (s.conductor + s.multiplicity)
 
     if prop == "canonical_gens":
-        monkeypatch.setattr(tree, "_remove_generator", corrupted)
-        monkeypatch.setattr(campaign, "_remove_generator", corrupted)
+        _patch_step(monkeypatch, corrupted)
     else:
         monkeypatch.setattr(maxgen, "_apery_mask", apery_mask)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
@@ -685,16 +708,22 @@ MASK_READERS = {"canonical_gens"}
 def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
     # a walk builds the mask, on every node, only for a selection with a
     # row that reads it; the same holds for a pool worker's share
-    real = core._remove_generator
     carried = Counter()
+    build, step = core._remove_generator, core._child
 
-    def recorded(s, a, *step):
-        t = real(s, a, *step)
+    def built(s, a):
+        t = build(s, a)
         carried[t._mirrored_pf_bits is not None] += 1
         return t
 
-    monkeypatch.setattr(tree, "_remove_generator", recorded)
-    monkeypatch.setattr(campaign, "_remove_generator", recorded)
+    def stepped(*args):
+        child = step(*args)
+        carried[child[4] is not None] += 1
+        return child
+
+    monkeypatch.setattr(tree, "_remove_generator", built)
+    monkeypatch.setattr(campaign, "_remove_generator", built)
+    monkeypatch.setattr(campaign, "_child", stepped)
     selections = [(p,) for p in properties.PROPERTIES]
     selections += [("wilf", "genus_bound"), ("wilf", "type"),
                    properties.PROPERTIES]
@@ -713,21 +742,23 @@ def test_masks_carried_only_when_a_row_reads_them(monkeypatch):
 def test_dropped_member_bit_moves_the_genus_counts(monkeypatch):
     # the genus is derived from the gap mask, not handed down from the
     # parent: a child step that loses a member (here 0, marked a gap, which
-    # every descendant inherits) puts its whole subtree one genus too deep
-    real = core._remove_generator
+    # every descendant inherits) puts its whole subtree one genus too deep,
+    # in this process and in pool workers
     max_genus = 10
 
-    def drop_zero(s, a):
-        t = real(s, a)
-        if t.genus >= max_genus - 1:
-            return t
-        return core.Semigroup(t.min_generators, t.conductor,
-                              t.gap_mask | 1, t.mirror)
+    def drop_zero(real, *args):
+        gens, c, gaps, mirror, pf = real(*args)
+        if gaps.bit_count() >= max_genus - 1:
+            return gens, c, gaps, mirror, pf
+        return gens, c, gaps | 1, mirror, pf
 
-    monkeypatch.setattr(tree, "_remove_generator", drop_zero)
-    rep = campaign.run_campaign(max_genus, [], jobs=1)
-    assert rep.counts_by_genus != \
-        (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204)
+    _patch_step(monkeypatch, drop_zero)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    forked = multiprocessing.get_start_method() == "fork"
+    for jobs in (1, 2) if forked else (1,):
+        rep = campaign.run_campaign(max_genus, [], jobs)
+        assert rep.counts_by_genus != \
+            (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204), jobs
 
 
 def test_broken_reverse_is_caught(monkeypatch, capsys):

@@ -428,22 +428,27 @@ def test_verify_failure_output(capsys, monkeypatch):
 
 
 def test_verify_count_identity_witness_is_a_genus(capsys, monkeypatch):
-    # <3, 5> left out of the symmetric tally breaks the count identity at
-    # genus 3, whose witness line reads like a generator list
-    real = campaign.domains
+    # <3, 5>, the one semigroup with (g, c, m, a_e) = (4, 8, 3, 5), left
+    # out of the symmetric tally breaks the count identity at genus 3,
+    # whose witness line reads like a generator list, in this process and
+    # from pool workers
+    real = properties.scalar_domains
 
-    def unsymmetric_3_5(s):
-        key = real(s)
-        return (key & ~properties.SYMMETRIC if s.min_generators == (3, 5)
+    def unsymmetric_3_5(g, c, m, ae):
+        key = real(g, c, m, ae)
+        return (key & ~properties.SYMMETRIC if (g, c, m, ae) == (4, 8, 3, 5)
                 else key)
 
-    monkeypatch.setattr(campaign, "domains", unsymmetric_3_5)
-    code, out, _ = run(capsys, "verify", "--max-genus", "8",
-                       "--properties", "correspondence")
-    assert code == 1
-    lines = out.splitlines()
-    assert lines[-2].startswith("result: FAIL, 1 failure(s) (")
-    assert lines[-1] == "  correspondence: <3>"
+    monkeypatch.setattr(campaign, "scalar_domains", unsymmetric_3_5)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    forked = multiprocessing.get_start_method() == "fork"
+    for jobs in ("1", "2") if forked else ("1",):
+        code, out, _ = run(capsys, "verify", "--max-genus", "8",
+                           "--properties", "correspondence", "--jobs", jobs)
+        assert code == 1, jobs
+        lines = out.splitlines()
+        assert lines[-2].startswith("result: FAIL, 1 failure(s) (")
+        assert lines[-1] == "  correspondence: <3>"
 
 
 def test_verify_empty_property_list(tmp_path, capsys):

@@ -37,7 +37,7 @@ from numsgp.errors import (
     IsTrivial,
     NonCoprime,
 )
-from test_campaign import claimed_shares
+from test_campaign import claimed_shares, walked
 from test_cli import CHECK_FIXTURES
 
 
@@ -353,10 +353,9 @@ def _assert_carried_masks(s):
 
 def test_carried_masks_match_recomputed_ones():
     # the child step's mirrored PF recurrence on every nontrivial node of
-    # a walk with masks to genus 16, as the campaign walks it in one
-    # process and shared by 2 or 3 pool workers claiming blocks in turn (a
-    # selection that reads the mask builds every leaf, so it walks to the
-    # bound)
+    # a walk with masks to genus 16: tree.walk's, and the campaign's plain
+    # walk in one process and shared by 2 or 3 pool workers claiming
+    # blocks in turn, each node built as a row that reads it builds it
     def check(nodes):
         count = 0
         for s in nodes:
@@ -366,10 +365,11 @@ def test_carried_masks_match_recomputed_ones():
         assert count == 11769
 
     check(tree.walk(16, _naturals(masks=True)))
+    check(walked([(_naturals(masks=True), 16)], 16))
     for jobs in (2, 3):
-        check(s for share in claimed_shares(16, 16, jobs, jobs,
+        check(s for share in claimed_shares(16, jobs, jobs,
                                              _naturals(masks=True))
-              for s in share)
+              for s in walked(share, 16))
     # the ordinary step a = m, from the root, <2, 3>, ..., to m = 64
     s = _naturals(masks=True)
     for m in range(1, 65):
