@@ -4,14 +4,15 @@ A campaign walks every numerical semigroup up to a genus bound G and runs
 a selection of named checks on each node.  It is one fold: _tally walks
 each of its subtrees depth first on plain values, a stack of (minimal
 generators, c, gap mask, mirror, mirrored PF mask) tuples that
-core._child, the child step, extends, and reads each node's g, c, m, e
-and a_e off its tuple.  It keys the node by properties.scalar_domains,
-counts it by genus under that key and runs the key's rows that have a
-scalar verdict on those scalars.  It builds the node as a Semigroup only
-when a row of its key reads the node, so every level is walked alike: a
-selection of scalar rows, wilf among them, builds no node at any genus,
-and one with apery_reflected_gaps or canonical_gens, all among them,
-builds every node.  The parts are summed column-wise once and the
+core._child, the child step, extends, and reads each node's genus g,
+m and a_e off its tuple.  It keys the node by properties.scalar_domains,
+counts it by genus under that key and calls the key's rows that have a
+plain-value verdict on g and the tuple.  It builds the node as a
+Semigroup only when a row of its key reads the node, so every
+level is walked alike: a selection of plain-value rows, wilf and
+apery_reflected_gaps among them, builds no node at any genus, and all
+builds only the trivial semigroup and the nodes of the MAXGEN and
+SYMMETRIC domains.  The parts are summed column-wise once and the
 failures sorted, so the report is byte-identical for any worker count;
 failures carry the minimal generator list of the offending semigroup as
 a witness, which the tuple holds.
@@ -141,16 +142,14 @@ def _tally(units, max_genus: int, names: tuple[str, ...]) -> tuple:
             ae = gens[-1]
             key = keyed(g, c, m, ae)
             try:
-                scalars, reads, census = plans[key]
+                plains, reads, census = plans[key]
             except KeyError:
-                scalars, reads, census = plans[key] = _plan(names, key,
-                                                            max_genus)
+                plains, reads, census = plans[key] = _plan(names, key,
+                                                           max_genus)
             census[g] += 1
-            if scalars:
-                e = len(gens)
-                for i, scalar in scalars:
-                    if not scalar(g, c, m, e, ae):
-                        failures.append((i, gens))
+            for i, plain in plains:
+                if not plain(g, c, gens, gaps, mirror, pf):
+                    failures.append((i, gens))
             if reads:
                 s = node(gens, c, gaps, mirror)
                 s._mirrored_pf_bits = pf
@@ -169,14 +168,14 @@ def _tally(units, max_genus: int, names: tuple[str, ...]) -> tuple:
                 for g in range(max_genus + 1)]
                for flags in (~0, TRIVIAL | MAXGEN, TRIVIAL | SYMMETRIC))
     checked = [0] * len(names)
-    for scalars, reads, census in plans.values():
-        for i, _ in scalars + reads:
+    for plains, reads, census in plans.values():
+        for i, _ in plains + reads:
             checked[i] += sum(census)
     return (*columns, checked, failures)
 
 
 def _plan(names: tuple[str, ...], key: int, max_genus: int) -> tuple:
-    """The entry of _tally for domain key: properties.plan()'s (scalars,
+    """The entry of _tally for domain key: properties.plan()'s (plains,
     reads), and the count by genus of the nodes with the key."""
     return (*plan(names, key), [0] * (max_genus + 1))
 

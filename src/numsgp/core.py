@@ -159,15 +159,15 @@ def _reverse(v: int, n: int) -> int:
     return v >> (8 * k - n)
 
 
-def _apery_mask(s: Semigroup) -> int:
-    """Bit n set iff n is in the Apery set of S with respect to m.
+def _apery_mask(gaps: int, m: int) -> int:
+    """Bit n set iff n is in the Apery set with respect to m of the
+    semigroup with gap mask gaps and multiplicity m.
 
     These are 0 and the members n with n - m a gap, all below c + m.  The
     gap mask shifted up by m sets bit n iff n - m is a gap, and each such
     n exceeds m, so it is a member iff it is not a gap.
     """
-    gaps = s.gap_mask
-    ap = gaps << s.multiplicity
+    ap = gaps << m
     return (ap ^ (ap & gaps)) | 1
 
 
@@ -282,7 +282,7 @@ class Semigroup:
             return self._apery
         m = self.multiplicity
         entries = [0] * m
-        for n in _bit_positions(_apery_mask(self)):
+        for n in _bit_positions(_apery_mask(self.gap_mask, m)):
             entries[n % m] = n
         return tuple(entries)
 

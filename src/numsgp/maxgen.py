@@ -84,15 +84,15 @@ def from_symmetric(sp: Semigroup) -> Semigroup:
 def frobenius_formula_check(s: Semigroup) -> bool:
     """F = a_e - m; holds for every max-generated semigroup."""
     _require_max_generated(s)
-    gens = s.min_generators
-    return _frobenius_form(s.genus, s.conductor, gens[0], len(gens),
-                           gens[-1])
+    return _frobenius_form(s.genus, s.conductor, s.min_generators,
+                           s.gap_mask, s.mirror, None)
 
 
-def _frobenius_form(g: int, c: int, m: int, e: int, ae: int) -> bool:
-    """F = a_e - m on the scalars of a nontrivial semigroup (see
+def _frobenius_form(g: int, c: int, gens: tuple, gaps: int, mirror: int,
+                    pf) -> bool:
+    """F = a_e - m on the plain values of a nontrivial semigroup (see
     _wilf_form)."""
-    return c - 1 == ae - m
+    return c - 1 == gens[-1] - gens[0]
 
 
 def _rg_mask(s: Semigroup, n: int) -> int:
@@ -107,19 +107,23 @@ def _rg_mask(s: Semigroup, n: int) -> int:
     return mirror & s.gap_mask
 
 
-def _reflected_gap_verdicts(s: Semigroup) -> tuple[bool, bool, bool, int, int]:
-    """(cond_i, cond_ii, cond_iii, RG(f) mask, mask of Ap(S) minus {0, f + m}).
+def _reflected_gap_verdicts(g: int, c: int, gens: tuple, gaps: int,
+                            mirror: int) -> tuple[bool, bool, bool, int, int]:
+    """(cond_i, cond_ii, cond_iii, RG(f) mask, mask of Ap(S) minus {0, f + m})
+    on the genus, conductor, minimal generators, gap mask and mirror of a
+    nontrivial semigroup, the plain values a campaign holds for a node.
 
     cond_ii compares m + RG(f) with the Apery elements as masks: both sides
     are sets, and each Apery element sits in its own residue class.
     """
-    f = s.frobenius
-    m = s.multiplicity
-    ae = s.min_generators[-1]
-    rgf = _rg_mask(s, f)
+    f = c - 1
+    m = gens[0]
+    ae = gens[-1]
+    # RG(f) is _rg_mask's n = f = c - 1, where the mirror is not shifted
+    rgf = gaps & mirror
     # 0 and f + m are always Apery elements; clear both
-    ap = _apery_mask(s) ^ 1 ^ (1 << (f + m))
-    return (ae == 2 * s.genus + 1, rgf << m == ap,
+    ap = _apery_mask(gaps, m) ^ 1 ^ (1 << (f + m))
+    return (ae == 2 * g + 1, rgf << m == ap,
             ae == f + m and rgf.bit_count() == m - 2, rgf, ap)
 
 
@@ -140,7 +144,8 @@ def reflected_gap_report(s: Semigroup) -> dict:
     RG(f + m, S) being empty.
     """
     _require_nontrivial(s)
-    cond_i, cond_ii, cond_iii, rgf, ap = _reflected_gap_verdicts(s)
+    cond_i, cond_ii, cond_iii, rgf, ap = _reflected_gap_verdicts(
+        s.genus, s.conductor, s.min_generators, s.gap_mask, s.mirror)
     rgfm = _rg_mask(s, s.frobenius + s.multiplicity)
     return {
         "cond_i": cond_i,
@@ -153,21 +158,21 @@ def reflected_gap_report(s: Semigroup) -> dict:
     }
 
 
-def _canonical_offsets(s: Semigroup) -> int:
-    """Mask of the minimal offsets of K = {z : F - z not in S}.
+def _canonical_offsets(gens: tuple, mirror: int) -> int:
+    """Mask of the minimal offsets of K = {z : F - z not in S}, on the
+    minimal generators and mirror of S.
 
     K over [0, F] is the gap mask mirrored over c bits (z to F - z), which
-    is the mirror field of S.  An offset o is minimal when no positive
-    member u of S has o - u in K.  Shifting K by the minimal generators
-    alone marks every non-minimal offset, because K + S is a subset of K:
-    if o - u is in K and u = a + u' with a a minimal generator and u' in S,
-    then o - a is in K.
+    is the mirror of S.  An offset o is minimal when no positive member u
+    of S has o - u in K.  Shifting K by the minimal generators alone marks
+    every non-minimal offset, because K + S is a subset of K: if o - u is
+    in K and u = a + u' with a a minimal generator and u' in S, then o - a
+    is in K.
     """
-    k = s.mirror
     nonmin = 0
-    for a in s.min_generators:
-        nonmin |= k << a
-    return k ^ (k & nonmin)
+    for a in gens:
+        nonmin |= mirror << a
+    return mirror ^ (mirror & nonmin)
 
 
 def canonical_ideal(s: Semigroup) -> tuple[int, ...]:
@@ -181,7 +186,8 @@ def canonical_ideal(s: Semigroup) -> tuple[int, ...]:
     dropped first.
     """
     _require_nontrivial(s)
-    return tuple(_bit_positions(_canonical_offsets(s)))
+    return tuple(_bit_positions(_canonical_offsets(s.min_generators,
+                                                   s.mirror)))
 
 
 def pf_formula_check(s: Semigroup) -> bool:
@@ -192,17 +198,19 @@ def pf_formula_check(s: Semigroup) -> bool:
     return list(s.pseudo_frobenius()) == expected
 
 
-def _wilf_form(g: int, c: int, m: int, e: int, ae: int) -> bool:
-    """Wilf's inequality g e <= (e - 1)(F + 1) on the genus g, conductor
-    c = F + 1, multiplicity m, embedding dimension e and largest generator
-    a_e of a nontrivial semigroup, the scalars a campaign reads off a node."""
+def _wilf_form(g: int, c: int, gens: tuple, gaps: int, mirror: int,
+               pf) -> bool:
+    """Wilf's inequality g e <= (e - 1)(F + 1) on the plain values of a
+    nontrivial semigroup (properties.Row): genus g, conductor c = F + 1
+    and e minimal generators gens."""
+    e = len(gens)
     return g * e <= (e - 1) * c
 
 
 def _wilf_holds(s: Semigroup) -> bool:
     """Wilf's inequality g e <= (e - 1)(F + 1), for nontrivial S."""
-    gens = s.min_generators
-    return _wilf_form(s.genus, s.conductor, gens[0], len(gens), gens[-1])
+    return _wilf_form(s.genus, s.conductor, s.min_generators, s.gap_mask,
+                      s.mirror, None)
 
 
 def wilf_report(s: Semigroup) -> dict:

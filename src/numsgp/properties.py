@@ -32,16 +32,18 @@ provenance string that goes beside them.  Only this module reads the domains
 and the names: `check` has one entry, check(), campaigns use resolve(),
 root(), plan(), scalar_domains() and count_failures(), and lookup() reads
 every name, hyphens as underscores.  A row declares what its verdict
-reads.  A row with a scalar verdict reads only the scalars (g, c, m, e,
-a_e), and holds(s) calls it on the node's; those are wilf,
-wilf_equality, frobenius_formula, sym_generators and genus_bound.  A
-campaign keys each node of its walk by scalar_domains() of its scalars,
-as domains(s) keys a Semigroup, checks those rows on the scalars, and
+reads.  A row with a plain-value verdict reads only the values a
+campaign's walk holds for a node, (g, c, gens, gaps, mirror, pf), and
+holds(s) calls it on a built node's; every row has one but those of
+pf_formula, type, correspondence, closed_gap_wilf and inequality_chain,
+which build semigroups or scan PF sets.  A campaign
+keys each node of its walk by scalar_domains() of its scalars, as
+domains(s) keys a Semigroup, checks those rows on the plain values, and
 builds the node only for the other rows, which read it.  A row marked
-reads_masks has a verdict that reads the mirrored PF mask, which root()
-then has the walk carry; canonical_gens is the one such row.  Records
-keep Fractions; the CLI encodes them.  Outside its domain a property is
-undefined; inside it but not applicable, it holds vacuously.
+reads_masks has a verdict that reads the mirrored PF mask pf, which
+root() then has the walk carry; canonical_gens is the one such row.
+Records keep Fractions; the CLI encodes them.  Outside its domain a
+property is undefined; inside it but not applicable, it holds vacuously.
 correspondence has one row per side and one for the trivial semigroup,
 whose partner is <2, 3>; a semigroup <2, 2g+1> is on both sides
 and is checked from each.
@@ -95,11 +97,13 @@ REQUIRE = {ALL: maxgen._require_nontrivial,
 class Row:
     """One identity on one domain; `check` adds holds to record(s)'s fields.
 
-    holds(s) is the verdict on a node.  A row built by _scalar_row has a
-    scalar verdict: holds calls scalar, the same verdict on the scalars
-    (g, c, m, e, a_e) of a nontrivial node, and carries it, so a campaign
-    calls scalar on the scalars it has read off a node it does not build.
-    reads_masks marks a holds that reads the mirrored PF mask.
+    holds(s) is the verdict on a node.  A row built by _plain_row has a
+    plain-value verdict: holds calls plain, the same verdict on the genus,
+    conductor, minimal generators, gap mask, mirror and mirrored PF mask
+    (g, c, gens, gaps, mirror, pf) of a nontrivial node, and carries it,
+    so a campaign calls plain on the values its walk holds for a node it
+    does not build.  reads_masks marks a verdict that reads pf; every
+    other verdict may get None for it.
     """
 
     name: str
@@ -113,41 +117,45 @@ class Row:
     reads_masks: bool = False
 
     @property
-    def scalar(self) -> Callable[[int, int, int, int, int], bool] | None:
-        """The verdict on the scalars (g, c, m, e, a_e) of a nontrivial
-        node that holds carries, or None when holds reads more of the
-        node."""
-        return getattr(self.holds, "scalar", None)
+    def plain(self) -> Callable[..., bool] | None:
+        """The verdict on the plain values (g, c, gens, gaps, mirror, pf)
+        of a nontrivial node that holds carries, or None when holds reads
+        a built node."""
+        return getattr(self.holds, "plain", None)
 
 
-def _scalar_row(name, domain, scalar, record, provenance, applies=0):
-    """A row whose verdict reads only the scalars: holds calls scalar on
-    the node's and carries it as holds.scalar."""
+def _plain_row(name, domain, plain, record, provenance, applies=0,
+               reads_masks=False):
+    """A row whose verdict reads only a node's plain values: holds calls
+    plain on a built node's, with its mirrored PF mask only when the row
+    reads_masks, and carries it as holds.plain."""
     def holds(s):
-        gens = s.min_generators
-        return scalar(s.genus, s.conductor, gens[0], len(gens), gens[-1])
+        pf = _mirrored_pf_mask(s) if reads_masks else None
+        return plain(s.genus, s.conductor, s.min_generators, s.gap_mask,
+                     s.mirror, pf)
 
-    holds.scalar = scalar
-    return Row(name, domain, holds, record, provenance, applies)
+    holds.plain = plain
+    return Row(name, domain, holds, record, provenance, applies, reads_masks)
 
 
 # -- verdicts ---------------------------------------------------------------
 
-def _wilf_equality(g, c, m, e, ae):
-    return e * (c - g) == c
+def _wilf_equality(g, c, gens, gaps, mirror, pf):
+    return len(gens) * (c - g) == c
 
 
-def _sym_generators(g, c, m, e, ae):
-    return ae < c - 1
+def _sym_generators(g, c, gens, gaps, mirror, pf):
+    return gens[-1] < c - 1
 
 
-def _genus_bound(g, c, m, e, ae):
-    bound, count_form = maxgen._genus_bound_forms(g, m, e)
+def _genus_bound(g, c, gens, gaps, mirror, pf):
+    bound, count_form = maxgen._genus_bound_forms(g, gens[0], len(gens))
     return bound and count_form
 
 
-def _apery_reflected_gaps(s):
-    cond_i, cond_ii, cond_iii, _, _ = maxgen._reflected_gap_verdicts(s)
+def _apery_reflected_gaps(g, c, gens, gaps, mirror, pf):
+    cond_i, cond_ii, cond_iii, _, _ = maxgen._reflected_gap_verdicts(
+        g, c, gens, gaps, mirror)
     return cond_i == cond_ii == cond_iii
 
 
@@ -155,12 +163,11 @@ def _type(s):
     return s.type_number() == len(s.min_generators) - 1
 
 
-def _canonical_gens(s):
-    gens = s.min_generators
-    offs = maxgen._canonical_offsets(s)
-    if offs != _mirrored_pf_mask(s):
+def _canonical_gens(g, c, gens, gaps, mirror, pf):
+    offs = maxgen._canonical_offsets(gens, mirror)
+    if offs != pf:
         return False
-    if gens[-1] != 2 * s.genus + 1:
+    if gens[-1] != 2 * g + 1:
         return True
     want = 0
     for a in gens[:-1]:
@@ -168,12 +175,11 @@ def _canonical_gens(s):
     return offs == want
 
 
-def _reflection_bijection(s):
+def _reflection_bijection(g, c, gens, gaps, mirror, pf):
     # the mirror shifted to top + 1 bits has bit top - n for each gap n
-    top = 2 * s.genus + 1
-    c = s.conductor
-    members = ((1 << top) - 2) ^ s.gap_mask
-    return s.mirror << (top + 1 - c) == members
+    top = 2 * g + 1
+    members = ((1 << top) - 2) ^ gaps
+    return mirror << (top + 1 - c) == members
 
 
 def _trivial_partner(s):
@@ -306,22 +312,24 @@ def _genus_bound_record(s):
 
 
 ROWS = (
-    _scalar_row("wilf", ALL, maxgen._wilf_form, maxgen.wilf_report,
-                "numsgp.maxgen.wilf_report"),
-    _scalar_row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
-                "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
-    Row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
-        maxgen.reflected_gap_report, "numsgp.maxgen.reflected_gap_report"),
-    _scalar_row("frobenius_formula", MAXGEN, maxgen._frobenius_form,
-                _frobenius_formula_record,
-                "numsgp.maxgen.frobenius_formula_check"),
+    _plain_row("wilf", ALL, maxgen._wilf_form, maxgen.wilf_report,
+               "numsgp.maxgen.wilf_report"),
+    _plain_row("wilf_equality", ALL, _wilf_equality, _wilf_equality_record,
+               "numsgp.maxgen.wilf_report", applies=M2 | INTERVAL),
+    _plain_row("apery_reflected_gaps", ALL, _apery_reflected_gaps,
+               maxgen.reflected_gap_report,
+               "numsgp.maxgen.reflected_gap_report"),
+    _plain_row("frobenius_formula", MAXGEN, maxgen._frobenius_form,
+               _frobenius_formula_record,
+               "numsgp.maxgen.frobenius_formula_check"),
     Row("pf_formula", MAXGEN, maxgen.pf_formula_check, _pf_formula_record,
         "numsgp.maxgen.pf_formula_check"),
     Row("type", MAXGEN, _type, _type_record, "numsgp.core.type_number"),
-    Row("canonical_gens", ALL, _canonical_gens, _canonical_gens_record,
-        "numsgp.maxgen.canonical_ideal", reads_masks=True),
-    Row("reflection_bijection", MAXGEN, _reflection_bijection,
-        _reflection_bijection_record, "numsgp.maxgen.reflection_map"),
+    _plain_row("canonical_gens", ALL, _canonical_gens,
+               _canonical_gens_record, "numsgp.maxgen.canonical_ideal",
+               reads_masks=True),
+    _plain_row("reflection_bijection", MAXGEN, _reflection_bijection,
+               _reflection_bijection_record, "numsgp.maxgen.reflection_map"),
     Row("correspondence", TRIVIAL, _trivial_partner),
     Row("correspondence", MAXGEN, _to_symmetric, _to_symmetric_record,
         "numsgp.maxgen.to_symmetric"),
@@ -329,10 +337,10 @@ ROWS = (
         "numsgp.maxgen.from_symmetric"),
     Row("closed_gap_wilf", MAXGEN, _closed_gap_wilf, _closed_gap_wilf_record,
         "numsgp.maxgen.close_largest_gap"),
-    _scalar_row("sym_generators", SYMMETRIC, _sym_generators,
-                _sym_generators_record, "numsgp.maxgen", applies=M_AT_LEAST_3),
-    _scalar_row("genus_bound", ALL, _genus_bound, _genus_bound_record,
-                "numsgp.maxgen.genus_lower_bound_check", applies=F_ABOVE_M),
+    _plain_row("sym_generators", SYMMETRIC, _sym_generators,
+               _sym_generators_record, "numsgp.maxgen", applies=M_AT_LEAST_3),
+    _plain_row("genus_bound", ALL, _genus_bound, _genus_bound_record,
+               "numsgp.maxgen.genus_lower_bound_check", applies=F_ABOVE_M),
     # the record raises EmbeddingDimTooSmall for e <= 2, outside the chain.
     # On a_e = 2g+1, e > 2 iff m >= 3: <a, b> has 2g = (a-1)(b-1), so
     # b = 2g+1 forces a = 2
@@ -374,15 +382,15 @@ def root(names: tuple) -> Semigroup:
 
 def plan(names: tuple, key: int) -> tuple:
     """The rows of the properties names that apply to the nodes with domain
-    key, in registry order, as (scalars, reads): the (position in names,
-    scalar) of each row with a scalar verdict, and the (position in names,
-    holds) of each other row."""
+    key, in registry order, as (plains, reads): the (position in names,
+    plain) of each row with a plain-value verdict, and the (position in
+    names, holds) of each other row."""
     index = {name: i for i, name in enumerate(names)}
-    rows = [(index[r.name], r.holds, r.scalar) for r in ROWS
+    rows = [(index[r.name], r.holds, r.plain) for r in ROWS
             if r.name in index and r.domain & key
             and (not r.applies or r.applies & key)]
-    return (tuple((i, scalar) for i, _, scalar in rows if scalar),
-            tuple((i, holds) for i, holds, scalar in rows if not scalar))
+    return (tuple((i, plain) for i, _, plain in rows if plain),
+            tuple((i, holds) for i, holds, plain in rows if not plain))
 
 
 def check(name: str, s: Semigroup) -> tuple[bool, dict, str]:

@@ -33,15 +33,15 @@ MUTANTS = {
     # the Apery mask read off the gap mask shifted by m - 1, not m
     "apery shifted by m - 1": (
         "src/numsgp/core.py",
-        "ap = gaps << s.multiplicity",
-        "ap = gaps << (s.multiplicity - 1)",
+        "ap = gaps << m\n",
+        "ap = gaps << (m - 1)\n",
         ["tests/test_core.py::test_carried_pf_mask_matches_subset_oracle",
          "tests/test_maxgen.py::test_reflected_gap_report"]),
     # the reflection n -> 2g + 1 - n read as n -> 2g - n off the mirror
     "mirror shift off by one": (
         "src/numsgp/properties.py",
-        "s.mirror << (top + 1 - c) == members",
-        "s.mirror << (top - c) == members",
+        "mirror << (top + 1 - c) == members",
+        "mirror << (top - c) == members",
         ["tests/test_core.py::test_carried_pf_mask_matches_subset_oracle",
          "tests/test_core.py::test_masks_of_a_built_semigroup[2,3]"]),
     # the PF recurrence keeps p with a - p in S: no & with the child's gaps
@@ -108,10 +108,19 @@ MUTANTS = {
     # the non-minimal offsets toggled instead of cleared
     "canonical offsets keep non-offsets": (
         "src/numsgp/maxgen.py",
-        "return k ^ (k & nonmin)",
-        "return k ^ nonmin",
+        "return mirror ^ (mirror & nonmin)",
+        "return mirror ^ nonmin",
         ["tests/test_maxgen.py::test_canonical_offsets_match_pf_reflection",
-         "tests/test_maxgen.py::test_reflection_masks_match_subset_oracle"]),
+         "tests/test_maxgen.py::test_reflection_masks_match_subset_oracle",
+         "tests/test_verdicts.py::test_plain_verdicts_match_subset_oracle"]),
+    # the canonical offsets are all of K: no shift by a generator clears one
+    "canonical offsets without & nonmin": (
+        "src/numsgp/maxgen.py",
+        "nonmin |= mirror << a",
+        "nonmin |= 0",
+        ["tests/test_verdicts.py::test_plain_verdicts_match_subset_oracle",
+         "tests/test_campaign.py::test_all_properties_pass_exhaustively",
+         "tests/test_maxgen.py::test_canonical_offsets_match_pf_reflection"]),
     # closed_gap_wilf no longer checks Wilf's inequality on T
     "Wilf clause of closed_gap_wilf dropped": (
         "src/numsgp/properties.py",
@@ -156,13 +165,50 @@ MUTANTS = {
         "mirror = mirror << shift",
         ["tests/test_tree.py::test_children_examples",
          "tests/test_core.py::test_tree_steps_match_from_generators"]),
-    # Ap(S) minus {0, f + m} keeps f + m
+    # Ap(S) minus {0, f + m} keeps f + m: cond_ii without clearing bit f + m
     "f + m left in the Apery side": (
         "src/numsgp/maxgen.py",
-        "ap = _apery_mask(s) ^ 1 ^ (1 << (f + m))",
-        "ap = _apery_mask(s) ^ 1",
+        "ap = _apery_mask(gaps, m) ^ 1 ^ (1 << (f + m))",
+        "ap = _apery_mask(gaps, m) ^ 1",
         ["tests/test_maxgen.py::test_reflected_gap_report",
-         "tests/test_cli.py::test_check_domain_sweep"]),
+         "tests/test_cli.py::test_check_domain_sweep",
+         "tests/test_verdicts.py::test_plain_verdicts_match_subset_oracle"]),
+    # Ap(S) minus {0, f + m} keeps 0: cond_ii without clearing bit 0
+    "0 left in the Apery side": (
+        "src/numsgp/maxgen.py",
+        "ap = _apery_mask(gaps, m) ^ 1 ^ (1 << (f + m))",
+        "ap = _apery_mask(gaps, m) ^ (1 << (f + m))",
+        ["tests/test_verdicts.py::test_plain_verdicts_match_subset_oracle",
+         "tests/test_campaign.py::test_all_properties_pass_exhaustively"]),
+    # RG(f) read off the mirror shifted by one: RG(f - 1) in its place
+    "RG(f) off a shifted mirror": (
+        "src/numsgp/maxgen.py",
+        "rgf = gaps & mirror",
+        "rgf = gaps & (mirror >> 1)",
+        ["tests/test_verdicts.py::test_plain_verdicts_match_subset_oracle",
+         "tests/test_maxgen.py::test_reflected_gap_report"]),
+    # a built node's holds computes the mirrored PF mask for every row
+    "holds computes the PF mask for every row": (
+        "src/numsgp/properties.py",
+        "pf = _mirrored_pf_mask(s) if reads_masks else None",
+        "pf = _mirrored_pf_mask(s)",
+        ["tests/test_verdicts.py::"
+         "test_check_computes_no_pf_mask_unless_a_row_reads_it"]),
+    # a built node's holds hands canonical_gens only a carried PF mask
+    "holds reads only a carried PF mask": (
+        "src/numsgp/properties.py",
+        "pf = _mirrored_pf_mask(s) if reads_masks else None",
+        "pf = s._mirrored_pf_bits",
+        ["tests/test_verdicts.py::test_plain_verdicts_on_inputs[3,4]",
+         "tests/test_verdicts.py::test_plain_verdicts_match_the_built_node"
+         "[False]"]),
+    # the campaign hands its plain verdicts no carried PF mask
+    "campaign drops the carried PF mask": (
+        "src/numsgp/campaign.py",
+        "plain(g, c, gens, gaps, mirror, pf)",
+        "plain(g, c, gens, gaps, mirror, None)",
+        ["tests/test_campaign.py::test_all_properties_pass_exhaustively",
+         "tests/test_campaign.py::test_verify_golden_report[16-all]"]),
 }
 
 

@@ -268,7 +268,7 @@ def test_campaign_walk_matches_tree_walk(monkeypatch):
     # by 2 or 3 pool workers claiming blocks in turn, reaches the nodes
     # tree.walk reaches, each with the same generators, conductor, gap
     # masks and carried PF mask, with masks and without; and a selection
-    # of scalar rows, which builds no node, keys the same scalars
+    # of plain-value rows, which builds no node, keys the same scalars
     for max_genus in (0, 1, 2, 6, 11, 16):
         for masks in (False, True):
             root = core._naturals(masks)
@@ -296,16 +296,17 @@ def test_campaign_walk_matches_tree_walk(monkeypatch):
                              s.min_generators[-1]) for s in tree.walk(16))
 
 
-#: The rows that read the node on every nontrivial semigroup: a
-#: selection with one of them builds every node.
-EVERY_NODE_READERS = {"apery_reflected_gaps", "canonical_gens"}
+#: The rows that apply to every nontrivial semigroup and read only its
+#: plain values: a selection with them builds no node.
+EVERY_NODE_ROWS = {"wilf", "apery_reflected_gaps", "canonical_gens"}
 
 
 def test_node_built_only_where_a_row_reads_it(monkeypatch):
     # the walk builds a node as a Semigroup exactly where a selected row
     # that reads the node applies to it, at every genus, in this process
-    # and in the shares of a pool: a selection of scalar rows builds none,
-    # and one with a row that reads every node builds them all
+    # and in the shares of a pool: a selection of plain-value rows, the
+    # rows of every node among them, builds none, and all builds only the
+    # trivial semigroup and the MAXGEN and SYMMETRIC nodes
     built = Counter()
 
     class Counted(core.Semigroup):
@@ -319,10 +320,10 @@ def test_node_built_only_where_a_row_reads_it(monkeypatch):
     nodes = list(tree.walk(10))
     selections = [(p,) for p in properties.PROPERTIES]
     selections += [(), ("wilf", "type"), ("wilf", "canonical_gens"),
-                   properties.PROPERTIES]
+                   tuple(EVERY_NODE_ROWS), properties.PROPERTIES]
     for names in selections:
         readers = [r for r in properties.ROWS
-                   if r.name in names and r.scalar is None]
+                   if r.name in names and r.plain is None]
         want = Counter()
         for s in nodes:
             key = properties.domains(s)
@@ -339,28 +340,33 @@ def test_node_built_only_where_a_row_reads_it(monkeypatch):
         assert built == want, names
         if not readers:
             assert not want, names
-        if EVERY_NODE_READERS.intersection(names):
-            # every nontrivial node; the root too for correspondence
-            assert want - Counter([0]) == Counter(
-                s.genus for s in nodes if s.genus), names
+        if set(names) <= EVERY_NODE_ROWS:
+            assert not readers, names
+        if names == properties.PROPERTIES:
+            # the root, for correspondence, and the two domains
+            assert want == Counter(
+                s.genus for s in nodes
+                if properties.domains(s) & (properties.TRIVIAL
+                                            | properties.MAXGEN
+                                            | properties.SYMMETRIC))
         if names == ("type",):
             assert [want[g] for g in range(11)] == [
                 n - (g == 0) for g, n in enumerate(rep.maxgen_counts_by_genus)]
 
 
 def test_scalar_failure_witness_builds_no_node(monkeypatch):
-    # a scalar verdict that fails every node of genus 10: the witnesses are
-    # the nodes' minimal generators, read off the walk without building a
-    # node, in this process and in pool workers
-    fails_at_10 = properties._scalar_row(
-        "wilf", properties.ALL, lambda g, c, m, e, ae: g != 10, None,
-        None).holds
+    # a plain-value verdict that fails every node of genus 10: the
+    # witnesses are the nodes' minimal generators, read off the walk
+    # without building a node, in this process and in pool workers
+    fails_at_10 = properties._plain_row(
+        "wilf", properties.ALL, lambda g, c, gens, gaps, mirror, pf: g != 10,
+        None, None).holds
     for row in properties.ROWS:
         if row.name == "wilf":
             monkeypatch.setattr(row, "holds", fails_at_10)
 
     def refused(*args):
-        raise AssertionError("a scalar row built a node")
+        raise AssertionError("a plain-value row built a node")
 
     monkeypatch.setattr(campaign, "Semigroup", refused)
     want = sorted(t.min_generators for t in tree.walk(10) if t.genus == 10)
@@ -629,19 +635,34 @@ def _failed(rep, name):
     return [w for p, w in rep.property_failures if p == name]
 
 
-def test_broken_rg_mask_is_caught(monkeypatch):
-    # the apery_reflected_gaps verdict reads _rg_mask from maxgen
-    real = maxgen._rg_mask
-
-    def drop_lowest_bit(s, n):
-        v = real(s, n)
-        return v & (v - 1)
-
-    monkeypatch.setattr(maxgen, "_rg_mask", drop_lowest_bit)
-    rep = campaign.run_campaign(10, ["apery_reflected_gaps"], jobs=1)
-    assert not rep.passed
-    witnesses = _failed(rep, "apery_reflected_gaps")
+def _reaches_both_commands(prop, fixture, monkeypatch, capsys):
+    """Assert that a fault already in place fails prop's campaign to genus
+    12 at jobs 1 and 2 with the same witnesses, each a nontrivial node, and
+    `check prop fixture`."""
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    reports = [campaign.run_campaign(12, [prop], jobs) for jobs in (1, 2)]
+    assert reports[0].property_failures == reports[1].property_failures
+    witnesses = _failed(reports[0], prop)
     assert witnesses and all(len(w) >= 2 for w in witnesses)
+    if fixture is not None:
+        assert cli.main(["check", prop, fixture]) == 1
+        assert json.loads(capsys.readouterr().out)["result"]["holds"] is False
+
+
+def test_broken_rg_mask_is_caught(monkeypatch, capsys):
+    # RG(F) with its lowest bit dropped: the apery_reflected_gaps verdict
+    # and reflected_gap_report read RG(F) as the gap mask AND the mirror
+    # in maxgen._reflected_gap_verdicts, so the fault clears the lowest
+    # such bit of the mirror that the shared helper is handed
+    real = maxgen._reflected_gap_verdicts
+
+    def drop_lowest_bit(g, c, gens, gaps, mirror):
+        rgf = gaps & mirror
+        return real(g, c, gens, gaps, mirror ^ (rgf & -rgf))
+
+    monkeypatch.setattr(maxgen, "_reflected_gap_verdicts", drop_lowest_bit)
+    _reaches_both_commands("apery_reflected_gaps", "3,5,7", monkeypatch,
+                           capsys)
 
 
 def _patch_step(monkeypatch, fault):
@@ -676,29 +697,27 @@ def test_broken_carried_mirror_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("prop", ["canonical_gens", "apery_reflected_gaps"])
-def test_broken_carried_mask_is_caught(prop, monkeypatch):
+def test_broken_carried_mask_is_caught(prop, monkeypatch, capsys):
     # a wrong mask read on every node: the PF mask a child step hands down
     # with 0 marked pseudo-Frobenius (bit F of the mirrored mask), or the
     # Apery mask, which no node carries, with c + m marked, above every
-    # Apery element, where maxgen looks it up.  The row's independent
-    # side, the mirror-read canonical offsets or RG(F) + m, catches it in
-    # this process and in pool workers alike
+    # Apery element, where maxgen._reflected_gap_verdicts looks it up.
+    # The row's independent side, the mirror-read canonical offsets or
+    # RG(F) + m, catches it in this process and in pool workers alike,
+    # and `check` catches the Apery fault, which it shares
     def corrupted(real, *args):
         gens, c, gaps, mirror, pf = real(*args)
         return gens, c, gaps, mirror, pf | 1 << (c - 1)
 
-    def apery_mask(s):
-        return core._apery_mask(s) | 1 << (s.conductor + s.multiplicity)
+    def apery_mask(gaps, m):
+        return core._apery_mask(gaps, m) | 1 << (gaps.bit_length() + m)
 
     if prop == "canonical_gens":
         _patch_step(monkeypatch, corrupted)
+        _reaches_both_commands(prop, None, monkeypatch, capsys)
     else:
         monkeypatch.setattr(maxgen, "_apery_mask", apery_mask)
-    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
-    reports = [campaign.run_campaign(12, [prop], jobs) for jobs in (1, 2)]
-    assert reports[0].property_failures == reports[1].property_failures
-    witnesses = _failed(reports[0], prop)
-    assert witnesses and all(len(w) >= 2 for w in witnesses)
+        _reaches_both_commands(prop, "3,5,7", monkeypatch, capsys)
 
 
 #: The rows whose verdicts read the carried mirrored PF mask.

@@ -389,6 +389,12 @@ def _reflects_members_onto_gaps(s):
     return {top - n for n in members} == gaps
 
 
+#: The reflection_bijection verdict on a built node: its row's holds,
+#: which calls the plain-value verdict a campaign calls on the walk.
+_reflection_bijection = next(r.holds for r in properties.ROWS
+                             if r.name == "reflection_bijection")
+
+
 def test_carried_pf_mask_matches_subset_oracle():
     # the mirrored PF mask the child step hands down, on every nontrivial
     # node to genus 12: its bits are the canonical ideal's minimal offsets
@@ -413,7 +419,7 @@ def test_carried_pf_mask_matches_subset_oracle():
         assert s.pseudo_frobenius() == built.pseudo_frobenius(), gens
         assert s.type_number() == built.type_number(), gens
         assert s.apery_set() == tuple(inv["apery"]), gens
-        verdict = properties._reflection_bijection(s)
+        verdict = _reflection_bijection(s)
         assert verdict == _reflects_members_onto_gaps(s), gens
         reflected += verdict
         maxgen_nodes += gens[-1] == 2 * s.genus + 1
@@ -429,8 +435,9 @@ def test_masks_of_a_built_semigroup(gens):
     # mirror-read reflection_bijection verdict is the brute-force one
     s = from_generators(int(a) for a in gens.split(","))
     assert s._mirrored_pf_bits is None
-    assert sorted(_bit_positions(_apery_mask(s))) == sorted(s.apery_set())
-    assert properties._reflection_bijection(s) == \
+    assert sorted(_bit_positions(_apery_mask(s.gap_mask, s.multiplicity))) \
+        == sorted(s.apery_set())
+    assert _reflection_bijection(s) == \
         _reflects_members_onto_gaps(s)
 
 
